@@ -171,10 +171,10 @@ MatcherStageAb AbMatcherStage(const GeneratedDataset& data,
   ab.pairs = run.candidates.size();
   if (run.candidates.empty() || run.matcher.num_trees() == 0) return ab;
   // Feature generation is deterministic, so this regenerated set has the
-  // layout the pipeline trained the forest on. Left unbound: both strategies
-  // then pay the same string-path feature cost and the comparison isolates
-  // laziness + short-circuiting.
+  // layout the pipeline trained the forest on. Both strategies read the same
+  // token stores, so the comparison isolates laziness + short-circuiting.
   FeatureSet fs = FeatureSet::Generate(data.a, data.b);
+  fs.BuildTokenStores(data.a, data.b);
   Cluster cluster((ClusterConfig()));
 
   auto fvs = GenFvs(data.a, data.b, run.candidates, fs, fs.all_ids(),

@@ -1,8 +1,9 @@
 // Microbenchmarks: index build and probe paths (google-benchmark). The
-// custom main() first writes BENCH_micro_index.json with a store-path vs
-// fallback-path (tokenize + dictionary lookup, the old string behaviour)
-// probe comparison, then runs google-benchmark. FALCON_BENCH_SMOKE=1 shrinks
-// the dataset so the binary doubles as a ctest smoke test.
+// custom main() first writes BENCH_micro_index.json (prefix-filter probe
+// cost, the scalar-vs-adaptive RuleApplier::Keep A/B and the task-arena
+// index-build alloc comparison), then runs google-benchmark.
+// FALCON_BENCH_SMOKE=1 shrinks the dataset so the binary doubles as a ctest
+// smoke test.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -84,14 +85,14 @@ BENCHMARK(BM_BTreeRangeProbe);
 
 struct TokenFixture {
   Cluster cluster;
-  IndexCatalog catalog;    ///< with B-side store views: id-path probing
-  IndexCatalog fallback;   ///< indexes only: tokenize+Find fallback probing
+  IndexCatalog catalog;
   FeatureSet fs;
   Predicate pred;
 
   TokenFixture() : cluster(ClusterConfig{}) {
     const auto& d = Data();
     fs = FeatureSet::Generate(d.a, d.b);
+    fs.BuildTokenStores(d.a, d.b);
     int jac = -1;
     for (const auto& f : fs.features()) {
       if (f.fn == SimFunction::kJaccard && f.tok == Tokenization::kWord &&
@@ -101,10 +102,8 @@ struct TokenFixture {
       }
     }
     pred = Predicate{jac, jac, PredOp::kGt, 0.5};
-    IndexBuilder builder(&d.a, &cluster);
-    builder.EnsureTokenStores(d.b, fs, &catalog);
+    IndexBuilder builder(&d.a, &fs, &cluster);
     builder.Ensure({ClassifyPredicate(pred, fs)}, &catalog);
-    builder.Ensure({ClassifyPredicate(pred, fs)}, &fallback);
   }
 };
 
@@ -115,7 +114,7 @@ void BM_TokenIndexBuild(benchmark::State& state) {
   for (auto _ : state) {
     Cluster cluster((ClusterConfig()));
     IndexCatalog catalog;
-    IndexBuilder builder(&d.a, &cluster);
+    IndexBuilder builder(&d.a, &fx.fs, &cluster);
     builder.Ensure({need}, &catalog);
     benchmark::DoNotOptimize(catalog.TotalMemoryUsage());
   }
@@ -139,19 +138,7 @@ void BM_PrefixFilterProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixFilterProbe);
 
-void BM_PrefixFilterProbeFallback(benchmark::State& state) {
-  const auto& d = Data();
-  TokenFixture* fx = SharedFixture();
-  ClauseProber prober(&fx->fallback, &fx->fs, d.a.num_rows());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prober.ProbePredicate(
-        fx->pred, d.b, static_cast<RowId>(i++ % d.b.num_rows())));
-  }
-}
-BENCHMARK(BM_PrefixFilterProbeFallback);
-
-/// Store-path vs fallback-path comparison written to BENCH_micro_index.json.
+/// The comparisons written to BENCH_micro_index.json.
 void WriteComparisonReport() {
   using Clock = std::chrono::steady_clock;
   const auto& d = Data();
@@ -162,47 +149,26 @@ void WriteComparisonReport() {
   report.Add("rows_a", static_cast<int64_t>(d.a.num_rows()));
   report.Add("rows_b", static_cast<int64_t>(d.b.num_rows()));
   report.Add("sweeps", static_cast<int64_t>(sweeps));
-  report.Add("catalog_bytes_with_store",
+  report.Add("catalog_bytes",
              static_cast<int64_t>(fx->catalog.TotalMemoryUsage()));
-  report.Add("catalog_bytes_fallback",
-             static_cast<int64_t>(fx->fallback.TotalMemoryUsage()));
 
-  // Same probing work over every B row, both paths; candidates must agree.
-  size_t candidates_store = 0;
-  size_t candidates_fallback = 0;
-  ClauseProber store_prober(&fx->catalog, &fx->fs, d.a.num_rows());
-  ClauseProber fb_prober(&fx->fallback, &fx->fs, d.a.num_rows());
+  // Prefix-filter probing over every B row.
+  size_t candidates = 0;
+  ClauseProber prober(&fx->catalog, &fx->fs, d.a.num_rows());
   auto t0 = Clock::now();
   for (size_t s = 0; s < sweeps; ++s) {
     for (RowId b = 0; b < d.b.num_rows(); ++b) {
-      candidates_store +=
-          store_prober.ProbePredicate(fx->pred, d.b, b).rows.size();
+      candidates += prober.ProbePredicate(fx->pred, d.b, b).rows.size();
     }
   }
   auto t1 = Clock::now();
-  for (size_t s = 0; s < sweeps; ++s) {
-    for (RowId b = 0; b < d.b.num_rows(); ++b) {
-      candidates_fallback +=
-          fb_prober.ProbePredicate(fx->pred, d.b, b).rows.size();
-    }
-  }
-  auto t2 = Clock::now();
-  if (candidates_store != candidates_fallback) {
-    fprintf(stderr, "FATAL: store/fallback candidate mismatch: %zu vs %zu\n",
-            candidates_store, candidates_fallback);
-    exit(1);
-  }
   const double probes =
       static_cast<double>(sweeps) * static_cast<double>(d.b.num_rows());
-  double store_us =
-      std::chrono::duration<double, std::micro>(t1 - t0).count() / probes;
-  double fb_us =
-      std::chrono::duration<double, std::micro>(t2 - t1).count() / probes;
   report.Add("probe/candidates_per_sweep",
-             static_cast<int64_t>(candidates_store / sweeps));
-  report.Add("probe/store_us_per_row", store_us);
-  report.Add("probe/fallback_us_per_row", fb_us);
-  report.Add("probe/speedup", store_us > 0.0 ? fb_us / store_us : 0.0);
+             static_cast<int64_t>(candidates / sweeps));
+  report.Add("probe/us_per_row",
+             std::chrono::duration<double, std::micro>(t1 - t0).count() /
+                 probes);
 
   // Rule-application A/B: the same Keep() sweep with the adaptive
   // intersection kernels (plus the single-reader threshold fast path) on vs
@@ -226,7 +192,6 @@ void WriteComparisonReport() {
     Rule r;
     r.predicates = {Predicate{keep_feat, keep_feat, PredOp::kGt, 0.5}};
     seq.rules = {r};
-    fx->fs.BindTokenStores(fx->catalog.store(&d.a), fx->catalog.store(&d.b));
     RuleApplier applier(seq, &fx->fs, &d.a, &d.b);
     // Strided A sample x every B row keeps the sweep O(seconds) at full size.
     const size_t a_step = std::max<size_t>(d.a.num_rows() / 64, 1);
@@ -281,7 +246,7 @@ void WriteComparisonReport() {
            adaptive_us > 0.0 ? scalar_us / adaptive_us : 0.0);
   }
 
-  // Index build (jobs 1-3 + store views) from a cold catalog, run twice:
+  // Index build (jobs 1-3) from a cold catalog, run twice:
   // task arenas on (the default) and off (every engine container on the
   // counted heap allocator). The alloc/* counters in each job's stats are
   // real heap traffic either way — page acquisitions vs individual
@@ -292,9 +257,8 @@ void WriteComparisonReport() {
     cc.task_arenas = task_arenas;
     Cluster cluster(cc);
     IndexCatalog catalog;
-    IndexBuilder builder(&d.a, &cluster);
+    IndexBuilder builder(&d.a, &fx->fs, &cluster);
     auto tA = Clock::now();
-    builder.EnsureTokenStores(d.b, fx->fs, &catalog);
     builder.Ensure({ClassifyPredicate(fx->pred, fx->fs)}, &catalog);
     auto tB = Clock::now();
     benchmark::DoNotOptimize(catalog.TotalMemoryUsage());

@@ -42,6 +42,7 @@ struct MatcherFixture {
     opt.missing_rate = 0.05;
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
 
     Rng rng(13);
     auto sample = [&](size_t n, std::vector<PairQuestion>* out) {

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   for (const char* name : {"products", "songs", "citations"}) {
     auto data = GenerateByName(name, DatasetOptions(name, scale, seed));
     FeatureSet fs = FeatureSet::Generate(data->a, data->b);
+    fs.BuildTokenStores(data->a, data->b);
     Cluster cluster(BenchClusterConfig());
     SimulatedCrowd crowd(BenchCrowdConfig(0.05, seed),
                          data->truth.MakeOracle());
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     TablePrinter table(
         {"Variant", "Rules", "Recall(%)", "Virtual time", "Candidates"});
     IndexCatalog catalog;
-    IndexBuilder builder(&data->a, &cluster);
+    IndexBuilder builder(&data->a, &fs, &cluster);
     for (auto& v : variants) {
       CnfRule q = ToCnf(v.seq);
       builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);

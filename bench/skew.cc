@@ -49,6 +49,7 @@ struct Setup {
   Setup(const WorkloadOptions& opt, double threshold) {
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
     int jac_title = -1;
     for (const auto& f : fs.features()) {
       if (f.fn == SimFunction::kJaccard && f.tok == Tokenization::kWord &&
@@ -67,7 +68,7 @@ struct Setup {
     seq.selectivity = 0.05;
 
     Cluster build_cluster(BenchClusterConfig(1));
-    IndexBuilder builder(&data.a, &build_cluster);
+    IndexBuilder builder(&data.a, &fs, &build_cluster);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
   }
 };

@@ -37,6 +37,7 @@ int main() {
 
   // Feature generation is automatic (Figure 5 of the paper).
   FeatureSet fs = FeatureSet::Generate(data.a, data.b);
+  fs.BuildTokenStores(data.a, data.b);
   std::printf("generated %zu features (%zu usable for blocking)\n",
               fs.size(), fs.blocking_ids().size());
 
@@ -91,7 +92,7 @@ int main() {
 
   // Build indexes, then run apply_blocking_rules with an explicit operator.
   IndexCatalog catalog;
-  IndexBuilder builder(&data.a, &cluster);
+  IndexBuilder builder(&data.a, &fs, &cluster);
   CnfRule q = ToCnf(selected->sequence);
   VDuration build_time =
       builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);

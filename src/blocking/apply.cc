@@ -112,7 +112,8 @@ RuleApplier::RuleApplier(const RuleSequence& seq, const FeatureSet* fs,
       auto [it, inserted] =
           slot_of.emplace(p.feature_id, static_cast<int>(slot_of.size()));
       if (inserted) feature_ids_.push_back(p.feature_id);
-      bound.push_back(BoundPredicate{it->second, p.feature_id, p.op, p.value});
+      bound.push_back(
+          BoundPredicate{it->second, p.feature_id, p.op, p.value, false, {}});
     }
     rules_.push_back(std::move(bound));
   }
@@ -130,9 +131,8 @@ RuleApplier::RuleApplier(const RuleSequence& seq, const FeatureSet* fs,
       p.threshold_ok = slot_refs[p.slot] == 1 &&
                        (p.op == PredOp::kLe || p.op == PredOp::kLt ||
                         p.op == PredOp::kGe || p.op == PredOp::kGt) &&
-                       IsSetBased(fs->feature(p.feature_id).fn) &&
-                       fs->TokenViews(p.feature_id, *a, *b, &p.view_a,
-                                      &p.view_b);
+                       IsSetBased(fs->feature(p.feature_id).fn);
+      if (p.threshold_ok) p.views = fs->token_views(p.feature_id);
     }
   }
 }
@@ -177,8 +177,8 @@ bool RuleApplier::Keep(RowId a_row, RowId b_row) const {
       if (p.threshold_ok && slot_stamps[p.slot] != slot_epoch &&
           !IntersectForceScalar()) {
         const Feature& f = fs_->feature(p.feature_id);
-        const std::span<const TokenId> x = p.view_a->row(a_row);
-        const std::span<const TokenId> y = p.view_b->row(b_row);
+        const std::span<const TokenId> x = p.views.a->row(a_row);
+        const std::span<const TokenId> y = p.views.b->row(b_row);
         // Missing values must keep flowing through Compute (NaN never
         // satisfies a predicate), and below ~16 ids the full merge costs
         // less than the boundary search + early-exit bookkeeping — the size
@@ -383,24 +383,13 @@ Result<ApplyResult> RunKeyedByA(
   // Cost-weighted shuffle (ClusterConfig::skew_cost_weights): tag each
   // candidate with its estimated reduce cost — 1 + the intersection work of
   // the sequence's set-based features, sum of min(|a tokens|, |b tokens|) —
-  // so the skew planner budgets shards by work, not raw pair count. Only the
-  // features with token-store views on both sides contribute (the others
-  // cost roughly the same for every pair anyway).
-  struct CostView {
-    const TokenSetView* va;
-    const TokenSetView* vb;
-  };
-  std::vector<CostView> cost_views;
+  // so the skew planner budgets shards by work, not raw pair count (the
+  // other features cost roughly the same for every pair anyway).
+  std::vector<FeatureSet::Views> cost_views;
   if (cluster->config().skew_cost_weights) {
-    const TokenStore* store_a = catalog.store(&a);
-    const TokenStore* store_b = catalog.store(&b);
-    if (store_a != nullptr && store_b != nullptr) {
-      for (int id : applier.feature_ids()) {
-        const Feature& f = fs.feature(id);
-        if (!IsSetBased(f.fn)) continue;
-        const TokenSetView* va = store_a->view(f.col_a, f.tok);
-        const TokenSetView* vb = store_b->view(f.col_b, f.tok);
-        if (va != nullptr && vb != nullptr) cost_views.push_back({va, vb});
+    for (int id : applier.feature_ids()) {
+      if (IsSetBased(fs.feature(id).fn)) {
+        cost_views.push_back(fs.token_views(id));
       }
     }
   }
@@ -419,9 +408,8 @@ Result<ApplyResult> RunKeyedByA(
           ShuffleVal v{static_cast<int32_t>(rec.row), 0, b_bytes};
           if (!cost_views.empty()) {
             size_t c = 1;
-            for (const CostView& cv : cost_views) {
-              c += std::min(cv.va->row(ar).size(),
-                            cv.vb->row(rec.row).size());
+            for (const FeatureSet::Views& cv : cost_views) {
+              c += std::min(cv.a->row(ar).size(), cv.b->row(rec.row).size());
             }
             v.cost = static_cast<uint32_t>(std::min<size_t>(
                 c, std::numeric_limits<uint32_t>::max()));

@@ -103,16 +103,14 @@ class RuleApplier {
     PredOp op;
     double value;
     /// True when this predicate is the sequence's ONLY reader of its slot,
-    /// the feature is set-based, the op is an ordering comparison, and both
-    /// token-set views below resolved: Keep may then decide it via the
-    /// early-exit intersection-threshold kernel (text/intersect.h) instead
-    /// of computing the full similarity — the memoized value would never be
-    /// read again anyway.
+    /// the feature is set-based and the op is an ordering comparison: Keep
+    /// may then decide it via the early-exit intersection-threshold kernel
+    /// (text/intersect.h) instead of computing the full similarity — the
+    /// memoized value would never be read again anyway.
     bool threshold_ok = false;
     /// Interned token-set views of the feature's two columns, resolved once
-    /// at construction (only when threshold_ok; see FeatureSet::TokenViews).
-    const TokenSetView* view_a = nullptr;
-    const TokenSetView* view_b = nullptr;
+    /// at construction (only when threshold_ok).
+    FeatureSet::Views views;
   };
   std::vector<std::vector<BoundPredicate>> rules_;
   std::vector<int> feature_ids_;

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "text/intersect.h"
-#include "text/tokenize.h"
 
 namespace falcon {
 namespace {
@@ -16,9 +15,9 @@ constexpr double kEps = 1e-9;
 
 /// Per-thread working state for one ClauseProber. Keeping it in TLS (instead
 /// of mutable members) makes concurrent probing race-free with zero locking:
-/// each thread owns private rank and stamp/count scratch. There is no token
-/// cache anymore — the token store already holds each B-row's interned set,
-/// so a probe only rank-sorts a handful of ids into `ranked`.
+/// each thread owns private rank and stamp scratch. The token store already
+/// holds each B-row's interned set, so a probe only rank-sorts a handful of
+/// ids into `ranked`.
 struct ProberScratch {
   uint64_t owner = 0;  ///< scratch_id_ of the prober this state belongs to
   std::vector<std::pair<uint32_t, TokenId>> ranked;  ///< (rank, id) per probe
@@ -221,27 +220,6 @@ void IndexCatalog::PutOrdering(int col_a, Tokenization tok,
                               std::move(ordering));
 }
 
-TokenDictionary* IndexCatalog::mutable_dict() {
-  if (dict_ == nullptr) dict_ = std::make_unique<TokenDictionary>();
-  return dict_.get();
-}
-
-TokenStore* IndexCatalog::mutable_store(const Table* table) {
-  auto it = stores_.find(table);
-  if (it == stores_.end()) {
-    it = stores_
-             .emplace(table,
-                      std::make_unique<TokenStore>(table, mutable_dict()))
-             .first;
-  }
-  return it->second.get();
-}
-
-const TokenStore* IndexCatalog::store(const Table* table) const {
-  auto it = stores_.find(table);
-  return it == stores_.end() ? nullptr : it->second.get();
-}
-
 size_t IndexCatalog::MemoryUsageFor(
     const std::vector<IndexNeed>& needs) const {
   // Deduplicate needs so shared indexes are counted once.
@@ -279,8 +257,6 @@ size_t IndexCatalog::TotalMemoryUsage() const {
   for (const auto& [col, idx] : hash_) bytes += idx.MemoryUsage();
   for (const auto& [col, idx] : btree_) bytes += idx.MemoryUsage();
   for (const auto& [key, bundle] : tokens_) bytes += bundle.MemoryUsage();
-  if (dict_ != nullptr) bytes += dict_->MemoryUsage();
-  for (const auto& [table, store] : stores_) bytes += store->MemoryUsage();
   return bytes;
 }
 
@@ -301,41 +277,18 @@ ClauseProber::ClauseProber(const IndexCatalog* catalog, const FeatureSet* fs,
       num_a_rows_(num_a_rows),
       scratch_id_(NextProberId()) {}
 
-ClauseProber::ProbeShape ClauseProber::RankedIdsFor(
-    const Table& b_table, RowId b, int col_b, Tokenization tok,
-    const TokenOrdering& ord) const {
+ClauseProber::ProbeShape ClauseProber::RankedIds(
+    std::span<const TokenId> ids, const TokenOrdering& ord) const {
   ProberScratch& s = ScratchFor(scratch_id_);
   s.ranked.clear();
   ProbeShape shape;
-  const TokenStore* store = catalog_->store(&b_table);
-  const TokenSetView* view =
-      store == nullptr ? nullptr : store->view(col_b, tok);
-  if (view != nullptr) {
-    auto ids = view->row(b);
-    shape.y = ids.size();
-    for (TokenId id : ids) {
-      uint32_t r;
-      if (ord.RankId(id, &r)) {
-        s.ranked.emplace_back(r, id);
-      } else {
-        ++shape.num_unknown;
-      }
-    }
-  } else {
-    // Fallback for catalogs without a store view (e.g. hand-built in tests):
-    // tokenize and translate through the dictionary. Tokens absent from the
-    // dictionary or unranked both count as unknown — neither has postings.
-    auto tokens = ToTokenSet(Tokenize(b_table.Get(b, col_b), tok));
-    shape.y = tokens.size();
-    const TokenDictionary* dict = catalog_->dict();
-    for (const auto& token : tokens) {
-      TokenId id;
-      uint32_t r;
-      if (dict != nullptr && dict->Find(token, &id) && ord.RankId(id, &r)) {
-        s.ranked.emplace_back(r, id);
-      } else {
-        ++shape.num_unknown;
-      }
+  shape.y = ids.size();
+  for (TokenId id : ids) {
+    uint32_t r;
+    if (ord.RankId(id, &r)) {
+      s.ranked.emplace_back(r, id);
+    } else {
+      ++shape.num_unknown;
     }
   }
   std::sort(s.ranked.begin(), s.ranked.end());
@@ -389,8 +342,8 @@ CandidateSet ClauseProber::ProbePredicate(const Predicate& pred,
     }
     case IndexKind::kToken: {
       const TokenIndexBundle* bundle = catalog_->tokens(need.col_a, need.tok);
-      const ProbeShape py =
-          RankedIdsFor(b_table, b, f.col_b, need.tok, bundle->ordering);
+      const ProbeShape py = RankedIds(
+          fs_->token_views(pred.feature_id).b->row(b), bundle->ordering);
       const size_t y = py.y;
       if (y == 0) {
         out.all = true;  // empty token set cannot prove a non-match
@@ -405,8 +358,8 @@ CandidateSet ClauseProber::ProbePredicate(const Predicate& pred,
                                    fn == SimFunction::kCosine;
 
       // Stamp-based dedup across probe tokens. Unknown tokens occupy probe
-      // positions 0..num_unknown-1 (the string path put them first too) and
-      // have no postings, so probing starts at position num_unknown.
+      // positions 0..num_unknown-1 (rarer than any ranked token) and have no
+      // postings, so probing starts at position num_unknown.
       ProberScratch& s = ScratchFor(scratch_id_);
       if (s.stamps.size() < num_a_rows_) s.stamps.resize(num_a_rows_, 0);
       const uint32_t epoch = NextEpoch(&s);

@@ -26,7 +26,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,7 +37,6 @@
 #include "index/token_ordering.h"
 #include "rules/rule.h"
 #include "table/table.h"
-#include "table/token_store.h"
 #include "text/token_dictionary.h"
 
 namespace falcon {
@@ -80,32 +79,16 @@ struct IndexNeed {
 /// the predicate passes every pair).
 IndexNeed ClassifyPredicate(const Predicate& pred, const FeatureSet& fs);
 
-/// Holds the indexes built so far over table A, plus the token dictionary
-/// and per-table token stores the dictionary-encoded probe path reads.
-/// Move-only (stores and orderings point into the owned dictionary).
+/// Holds the indexes built so far over table A. Token orderings point into
+/// the dictionary of the FeatureSet's token stores, which must outlive the
+/// catalog.
 class IndexCatalog {
  public:
-  IndexCatalog() = default;
-  IndexCatalog(const IndexCatalog&) = delete;
-  IndexCatalog& operator=(const IndexCatalog&) = delete;
-  IndexCatalog(IndexCatalog&&) = default;
-  IndexCatalog& operator=(IndexCatalog&&) = default;
-
   const HashIndex* hash(int col_a) const;
   const BTreeIndex* btree(int col_a) const;
   const TokenIndexBundle* tokens(int col_a, Tokenization tok) const;
   /// Standalone ordering (pre-built during masking); bundles carry their own.
   const TokenOrdering* ordering(int col_a, Tokenization tok) const;
-
-  /// The shared token dictionary, created on first use. One dictionary spans
-  /// every table's store so ids are comparable across tables.
-  TokenDictionary* mutable_dict();
-  const TokenDictionary* dict() const { return dict_.get(); }
-
-  /// The token store for `table`, created (empty) on first use. Views are
-  /// filled by IndexBuilder; `table` must outlive the catalog.
-  TokenStore* mutable_store(const Table* table);
-  const TokenStore* store(const Table* table) const;
 
   bool Has(const IndexNeed& need) const;
   void PutHash(int col_a, HashIndex idx);
@@ -115,9 +98,9 @@ class IndexCatalog {
 
   /// Memory footprint of the indexes satisfying `needs` (0 for kNone needs;
   /// missing indexes contribute 0 — call Has() first). Counts only
-  /// mapper-resident structures: the dictionary and token stores are not
-  /// loaded into mappers (probing needs only the bundle's rank vector; the
-  /// B-side store streams with the input split).
+  /// mapper-resident structures; the token stores are not loaded into
+  /// mappers (probing needs only the bundle's rank vector; the B-side views
+  /// stream with the input split).
   size_t MemoryUsageFor(const std::vector<IndexNeed>& needs) const;
   size_t TotalMemoryUsage() const;
 
@@ -131,10 +114,6 @@ class IndexCatalog {
   std::map<int, BTreeIndex> btree_;
   std::map<std::pair<int, int>, TokenIndexBundle> tokens_;
   std::map<std::pair<int, int>, TokenOrdering> orderings_;
-  /// unique_ptr: stable address for the string_view keys and the pointers
-  /// held by stores/orderings.
-  std::unique_ptr<TokenDictionary> dict_;
-  std::map<const Table*, std::unique_ptr<TokenStore>> stores_;
 };
 
 /// Result of probing: either an explicit candidate row list or "all of A".
@@ -147,9 +126,7 @@ struct CandidateSet {
 ///
 /// A ClauseProber is bound to one (catalog, feature set, |A|) and reused
 /// across B-rows. Token predicates read the B-row's interned id set straight
-/// out of the catalog's token store (falling back to tokenize+dictionary
-/// lookup when no store view was built), so the per-thread token cache the
-/// string path needed is gone.
+/// out of the feature set's token-store view for the predicate's feature.
 ///
 /// Thread safety: probing is safe from multiple threads concurrently (map
 /// tasks share one prober). The catalog — dictionary, stores, bundles — is
@@ -187,20 +164,20 @@ class ClauseProber {
   /// Shape of the current B-row's token set for probing: the ranked ids live
   /// in this thread's scratch, sorted ascending by rank (= the global token
   /// order); unranked tokens yield no postings and occupy the first
-  /// `num_unknown` positions, exactly as the string path ordered them.
+  /// `num_unknown` positions of the probe order.
   struct ProbeShape {
     size_t y = 0;            ///< total distinct tokens (unranked included)
     size_t num_unknown = 0;  ///< tokens without a rank in the ordering
   };
-  ProbeShape RankedIdsFor(const Table& b_table, RowId b, int col_b,
-                          Tokenization tok, const TokenOrdering& ord) const;
+  ProbeShape RankedIds(std::span<const TokenId> ids,
+                       const TokenOrdering& ord) const;
 
   const IndexCatalog* catalog_;
   const FeatureSet* fs_;
   size_t num_a_rows_;
   /// Process-unique id keying this prober's thread-local scratch. An id (not
   /// `this`) is used because stack addresses are recycled: a fresh prober at
-  /// the same address must not inherit the previous prober's token cache.
+  /// the same address must not inherit the previous prober's scratch.
   uint64_t scratch_id_;
 };
 

@@ -1,10 +1,9 @@
 #include "blocking/index_builder.h"
 
-#include <algorithm>
+#include <cassert>
 #include <set>
 
 #include "mapreduce/job.h"
-#include "text/tokenize.h"
 
 namespace falcon {
 namespace {
@@ -129,58 +128,19 @@ VDuration IndexBuilder::BuildBTree(int col_a, IndexCatalog* catalog) {
   return result.stats.Total();
 }
 
-VDuration IndexBuilder::BuildStoreView(const Table& t, const char* label,
-                                       int col, Tokenization tok,
-                                       IndexCatalog* catalog) {
-  TokenStore* store = catalog->mutable_store(&t);
-  if (store->view(col, tok) != nullptr) return VDuration::Zero();
-  store->StartView(col, tok);
-  std::vector<RowId> rows(t.num_rows());
-  for (RowId r = 0; r < t.num_rows(); ++r) rows[r] = r;
-  // Interning writes into the shared dictionary and appends to the shared
-  // arena in row order -> serial path.
-  auto result = RunMapOnly<RowId, int>(
-      cluster_, rows,
-      {.name = std::string("tokenize-store(") + label + ",col" +
-               std::to_string(col) + "," + TokenizationName(tok) + ")",
-       .serial = true},
-      [&](const RowId& r, TaskVector<int>*) { store->AppendRow(r); });
-  store->FinishView();
-  return result.stats.Total();
-}
-
-VDuration IndexBuilder::EnsureTokenStores(const Table& b, const FeatureSet& fs,
-                                          IndexCatalog* catalog) {
-  VDuration spent = VDuration::Zero();
-  for (const Feature& f : fs.features()) {
-    if (!f.usable_for_blocking) continue;
-    Tokenization tok;
-    switch (f.fn) {
-      case SimFunction::kJaccard:
-      case SimFunction::kDice:
-      case SimFunction::kOverlap:
-      case SimFunction::kCosine:
-        tok = f.tok;
-        break;
-      case SimFunction::kLevenshtein:
-        tok = Tokenization::kQgram3;
-        break;
-      default:
-        continue;
-    }
-    spent += BuildStoreView(*a_, "a", f.col_a, tok, catalog);
-    spent += BuildStoreView(b, "b", f.col_b, tok, catalog);
-  }
-  return spent;
+const TokenSetView& IndexBuilder::AView(int col_a, Tokenization tok) const {
+  const TokenSetView* view = fs_->token_stores()->a().view(col_a, tok);
+  assert(view != nullptr && "token stores lack a view an index reads");
+  return *view;
 }
 
 VDuration IndexBuilder::BuildOrdering(int col_a, Tokenization tok,
                                       IndexCatalog* catalog) {
-  // The A-side store view is a prerequisite: tokenization/interning happens
-  // once here, and every later job reads the interned ids.
-  VDuration spent = BuildStoreView(*a_, "a", col_a, tok, catalog);
-  const TokenSetView* view = catalog->store(a_)->view(col_a, tok);
-  const TokenDictionary* dict = catalog->dict();
+  // Every job reads A's interned ids; tokenization happened once, when the
+  // token stores were built.
+  VDuration spent = VDuration::Zero();
+  const TokenSetView& view = AView(col_a, tok);
+  const TokenDictionary* dict = &fs_->token_stores()->dict();
   std::vector<RowId> rows(a_->num_rows());
   for (RowId r = 0; r < a_->num_rows(); ++r) rows[r] = r;
 
@@ -194,7 +154,7 @@ VDuration IndexBuilder::BuildOrdering(int col_a, Tokenization tok,
                TokenizationName(tok) + ")",
        .serial = true},
       [&](const RowId& r, Emitter<TokenId, uint32_t>* em) {
-        for (TokenId id : view->row(r)) em->Emit(id, 1);
+        for (TokenId id : view.row(r)) em->Emit(id, 1);
       },
       [&](const TokenId& id, const ValueList<uint32_t>& ones,
           TaskVector<int>*) { freq[id] += ones.size(); });
@@ -224,9 +184,7 @@ VDuration IndexBuilder::BuildTokenBundle(int col_a, Tokenization tok,
   if (catalog->ordering(col_a, tok) == nullptr) {
     spent += BuildOrdering(col_a, tok, catalog);
   }
-  // No-op unless the catalog was handed a prebuilt ordering without a store.
-  spent += BuildStoreView(*a_, "a", col_a, tok, catalog);
-  const TokenSetView* view = catalog->store(a_)->view(col_a, tok);
+  const TokenSetView& view = AView(col_a, tok);
   TokenIndexBundle bundle;
   bundle.ordering = *catalog->ordering(col_a, tok);
 
@@ -247,7 +205,7 @@ VDuration IndexBuilder::BuildTokenBundle(int col_a, Tokenization tok,
           bundle.lengths.Add(0, r);
           return;
         }
-        auto ids = view->row(r);
+        auto ids = view.row(r);
         scratch.assign(ids.begin(), ids.end());
         bundle.ordering.SortIds(&scratch);
         bundle.lengths.Add(static_cast<uint32_t>(scratch.size()), r);

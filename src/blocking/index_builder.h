@@ -1,13 +1,13 @@
 // Index construction on the cluster (Section 7.5 of the paper).
 //
 // For every (attribute, tokenization) pair referenced by the positive rule Q,
-// three MapReduce jobs run in sequence: (1) count token frequencies over A,
-// (2) sort tokens into the global ordering, (3) tokenize/reorder every A-row
-// and build the inverted + length indexes. Hash and B-tree indexes for
-// equivalence/range filters are built by map-only jobs. The builder is
-// incremental: indexes already present in the catalog are skipped — this is
-// exactly what makes the masking optimization O1 pay off (indexes prebuilt
-// during crowdsourcing are found and reused here).
+// three MapReduce jobs run in sequence over A's interned token sets: (1)
+// count token frequencies, (2) sort tokens into the global ordering, (3)
+// reorder every A-row and build the inverted + length indexes. Hash and
+// B-tree indexes for equivalence/range filters are built by map-only jobs.
+// The builder is incremental: indexes already present in the catalog are
+// skipped — this is exactly what makes the masking optimization O1 pay off
+// (indexes prebuilt during crowdsourcing are found and reused here).
 #ifndef FALCON_BLOCKING_INDEX_BUILDER_H_
 #define FALCON_BLOCKING_INDEX_BUILDER_H_
 
@@ -19,10 +19,14 @@
 
 namespace falcon {
 
-/// Builds catalog indexes over table A via simulated MapReduce jobs.
+/// Builds catalog indexes over table A via simulated MapReduce jobs. Token
+/// indexes read A's interned token sets from the feature set's token
+/// stores; they must be set before Ensure() builds one.
 class IndexBuilder {
  public:
-  IndexBuilder(const Table* a, Cluster* cluster) : a_(a), cluster_(cluster) {}
+  /// `a`, `fs` and `cluster` must outlive the builder.
+  IndexBuilder(const Table* a, const FeatureSet* fs, Cluster* cluster)
+      : a_(a), fs_(fs), cluster_(cluster) {}
 
   /// Distinct index needs of the keep-predicates of `rule`.
   static std::vector<IndexNeed> NeedsOfCnf(const CnfRule& rule,
@@ -40,28 +44,17 @@ class IndexBuilder {
   /// missing ones. Returns the virtual time spent (zero if all present).
   VDuration Ensure(const std::vector<IndexNeed>& needs, IndexCatalog* catalog);
 
-  /// Ensures the catalog's token stores hold the interned token sets both
-  /// sides of every token-filterable feature read: the A-side views feed the
-  /// ordering/inverted-index jobs, the B-side views feed probing and feature
-  /// computation. Runs one tokenize job per missing (table, attribute,
-  /// tokenization) view; already-built views cost nothing, so this composes
-  /// with the masking optimizer the same way Ensure() does.
-  VDuration EnsureTokenStores(const Table& b, const FeatureSet& fs,
-                              IndexCatalog* catalog);
-
  private:
   VDuration BuildHash(int col_a, IndexCatalog* catalog);
   VDuration BuildBTree(int col_a, IndexCatalog* catalog);
   VDuration BuildOrdering(int col_a, Tokenization tok, IndexCatalog* catalog);
   VDuration BuildTokenBundle(int col_a, Tokenization tok,
                              IndexCatalog* catalog);
-  /// Tokenizes + interns one (table, attribute, tokenization) into the
-  /// catalog's token store. No-op if the view already exists. `label` names
-  /// the table in the job name ("a" / "b").
-  VDuration BuildStoreView(const Table& t, const char* label, int col,
-                           Tokenization tok, IndexCatalog* catalog);
+  /// A's token-set view for (col_a, tok).
+  const TokenSetView& AView(int col_a, Tokenization tok) const;
 
   const Table* a_;
+  const FeatureSet* fs_;
   Cluster* cluster_;
 };
 

@@ -17,9 +17,8 @@ GenFvsResult GenFvs(const Table& a, const Table& b,
                     Cluster* cluster, const char* job_name) {
   GenFvsResult result;
   result.fvs.resize(pairs.size());
-  // Set-based features run on interned token-id spans whenever the caller
-  // bound token stores to `fs` (see FeatureSet::BindTokenStores); this job
-  // needs no special handling for that — Compute dispatches per feature.
+  // Set-based features read interned token-id spans from the stores `fs`
+  // holds (FeatureSet::SetTokenStores); nothing here tokenizes.
   // Input items are indices so output order matches input order even though
   // map tasks run per split.
   std::vector<size_t> idx(pairs.size());

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "core/al_matcher.h"
@@ -169,16 +170,9 @@ FalconPipeline::FalconPipeline(const Table* a, const Table* b,
                                CrowdPlatform* crowd, Cluster* cluster,
                                FalconConfig config)
     : a_(a), b_(b), crowd_(crowd), cluster_(cluster),
-      config_(std::move(config)), builder_(a, cluster) {
-  features_ = FeatureSet::Generate(*a_, *b_);
-  features_ready_ = true;
-}
-
-FalconPipeline::~FalconPipeline() {
-  // The feature set may be bound to catalog_'s token stores (O1); clear the
-  // binding so no dangling pointers survive member destruction.
-  features_.BindTokenStores(nullptr, nullptr);
-}
+      config_(std::move(config)),
+      features_(FeatureSet::Generate(*a_, *b_)),
+      builder_(a, &features_, cluster) {}
 
 bool FalconPipeline::NeedsBlocking() const {
   // Estimated bytes of A x B encoded as feature vectors (Section 10.1).
@@ -219,6 +213,13 @@ Status FalconPipeline::Step() {
   if (!started()) {
     return Status::Internal("Step() before Start()");
   }
+  // Only this pipeline's jobs feed its task-load rollup, even when sibling
+  // sessions share the cluster.
+  ScopedJobSink sink([this](const JobStats& job) { FoldTaskLoad(job); });
+  if (features_.token_stores() == nullptr && !done()) {
+    VDuration dur = TokenizeStores();
+    AddMachine("index_build(tokenize)", dur, dur);
+  }
   Status st;
   switch (state_.next) {
     case PipelineStage::kSamplePairs: st = StageSamplePairs(); break;
@@ -236,7 +237,8 @@ Status FalconPipeline::Step() {
     case PipelineStage::kDone:
       return Status::Internal("Step() with no stage to run");
   }
-  RefreshTotalTime();
+  RunMetrics& m = state_.out.metrics;
+  m.total_time = m.crowd_time + m.machine_unmasked;
   return st;
 }
 
@@ -260,33 +262,37 @@ VDuration FalconPipeline::MaskRun(VDuration d) {
   return d - used;
 }
 
-void FalconPipeline::RefreshTotalTime() {
+void FalconPipeline::FoldTaskLoad(const JobStats& job) {
   RunMetrics& m = state_.out.metrics;
-  m.total_time = m.crowd_time + m.machine_unmasked;
-  // Per-task load rollup over the cluster's job ledger (recomputed from
-  // scratch each step, so stage retries or reuse paths never double-count).
-  m.mr_tasks = 0;
-  double vmax = 0.0;
-  double vsum = 0.0;
-  double p99 = 0.0;
-  double straggler = 1.0;
-  // Snapshot under the cluster mutex: sibling sessions sharing this cluster
-  // may be appending to the ledger concurrently.
-  for (const JobStats& job : cluster_->JobHistorySnapshot()) {
-    for (const TaskLoadStats* load : {&job.map_load, &job.reduce_load}) {
-      if (load->tasks == 0) continue;
-      m.mr_tasks += load->tasks;
-      vsum += load->mean_seconds * static_cast<double>(load->tasks);
-      vmax = std::max(vmax, load->max_seconds);
-      p99 = std::max(p99, load->p99_seconds);
-      straggler = std::max(straggler, load->straggler_ratio);
-    }
+  for (const TaskLoadStats* load : {&job.map_load, &job.reduce_load}) {
+    if (load->tasks == 0) continue;
+    m.mr_tasks += load->tasks;
+    task_vtime_sum_ += load->mean_seconds * static_cast<double>(load->tasks);
+    m.task_vtime_max = std::max(m.task_vtime_max, load->max_seconds);
+    m.task_vtime_p99 = std::max(m.task_vtime_p99, load->p99_seconds);
+    m.straggler_ratio = std::max(m.straggler_ratio, load->straggler_ratio);
   }
-  m.task_vtime_max = vmax;
-  m.task_vtime_mean =
-      m.mr_tasks == 0 ? 0.0 : vsum / static_cast<double>(m.mr_tasks);
-  m.task_vtime_p99 = p99;
-  m.straggler_ratio = straggler;
+  m.task_vtime_mean = m.mr_tasks == 0
+                          ? 0.0
+                          : task_vtime_sum_ / static_cast<double>(m.mr_tasks);
+}
+
+VDuration FalconPipeline::TokenizeStores() {
+  auto stores = std::make_unique<TokenStores>(a_, b_);
+  const std::vector<TokenStores::Key> keys = features_.TokenStoreKeys();
+  // One map-only job, one record per view. Interning writes the shared
+  // dictionary -> serial path.
+  auto job = RunMapOnly<TokenStores::Key, int>(
+      cluster_, keys, {.name = "tokenize-stores", .serial = true},
+      [&](const TokenStores::Key& key, TaskVector<int>*) {
+        stores->Build(key);
+      });
+  // Stores live as long as the session, so keep only what later stages
+  // read: the Matcher-only plan builds no index, the one reader of the
+  // dictionary's texts.
+  stores->Freeze(/*keep_texts=*/state_.out.metrics.used_blocking);
+  features_.SetTokenStores(std::move(stores));
+  return job.stats.Total();
 }
 
 // --- (1) sample_pairs -------------------------------------------------------
@@ -342,15 +348,11 @@ Status FalconPipeline::StageBlockerAl() {
   state_.blocker_labels = std::move(blocker.labels);
 
   // O1a: while the blocker crowdsources, build rule-independent indexes.
-  // Token stores come first: tokenizing/interning both tables inside the
-  // mask window makes every later probe and feature computation run on
-  // integer ids.
   if (config_.enable_masking && config_.mask_index_building) {
-    VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
-    dur += builder_.Ensure(IndexBuilder::GenericNeeds(features_), &catalog_);
+    VDuration dur =
+        builder_.Ensure(IndexBuilder::GenericNeeds(features_), &catalog_);
     VDuration unmasked = MaskRun(dur);
     AddMachine("index_build(generic,masked)", dur, unmasked);
-    features_.BindTokenStores(catalog_.store(a_), catalog_.store(b_));
   }
   state_.next = PipelineStage::kGetRules;
   return Status::OK();
@@ -496,10 +498,9 @@ Status FalconPipeline::StageApplyRules() {
   // Any index the selected sequence still needs is built now, unmasked.
   {
     CnfRule q = ToCnf(SimplifySequence(sequence));
-    VDuration dur = builder_.EnsureTokenStores(*b_, features_, &catalog_);
-    dur += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_), &catalog_);
+    VDuration dur =
+        builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_), &catalog_);
     if (dur.seconds > 0.0) AddMachine("index_build(unmasked)", dur, dur);
-    features_.BindTokenStores(catalog_.store(a_), catalog_.store(b_));
   }
   ApplyMethod preferred = SelectApplyMethod(*a_, *b_, sequence, features_,
                                             catalog_, *cluster_);
@@ -786,6 +787,14 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
           "resumable state predictions do not match its candidates");
     }
 
+    // Token stores: the first Step() builds and charges them; past it they
+    // are rebuilt here like every other transient cache.
+    const PipelineStage first =
+        blocking ? PipelineStage::kSamplePairs : PipelineStage::kGenFvsCand;
+    if (next != first && features_.token_stores() == nullptr) {
+      total += TokenizeStores();
+    }
+
     // gen_fvs caches.
     if (blocking &&
         (next == PipelineStage::kBlockerAl ||
@@ -811,13 +820,12 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
       total += cfvs.time;
     }
 
-    // Token stores and indexes: the original run built these inside the O1
-    // masking windows; a resumed run rebuilds them deterministically on
-    // load instead of persisting them (they are pure functions of the
-    // tables and the learned rules).
+    // Indexes: the original run built these inside the O1 masking windows;
+    // a resumed run rebuilds them deterministically on load instead of
+    // persisting them (they are pure functions of the tables and the
+    // learned rules).
     if (blocking && config_.enable_masking && config_.mask_index_building &&
         at_least(PipelineStage::kGetRules)) {
-      total += builder_.EnsureTokenStores(*b_, features_, &catalog_);
       total += builder_.Ensure(IndexBuilder::GenericNeeds(features_),
                                &catalog_);
       if (at_least(PipelineStage::kSelectSeq)) {
@@ -834,7 +842,6 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
         total += builder_.Ensure(IndexBuilder::NeedsOfCnf(q, features_),
                                  &catalog_);
       }
-      features_.BindTokenStores(catalog_.store(a_), catalog_.store(b_));
     }
   }
   if (rebuild_time != nullptr) *rebuild_time = total;

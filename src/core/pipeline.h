@@ -99,12 +99,13 @@ struct RunMetrics {
   uint64_t intersect_early_exit = 0;
   uint64_t intersect_contains = 0;
 
-  /// Per-task load rollup over every MapReduce job recorded on the cluster,
-  /// refreshed after each stage (resumed runs see only this process's jobs,
-  /// like the alloc counters). The straggler ratio is the worst single
-  /// phase's max/mean task vtime — the skew headline the skew-aware
-  /// partitioner exists to push toward 1.0. Diagnostics only, never
-  /// serialized.
+  /// Per-task load rollup over the MapReduce jobs this run's steps ran —
+  /// not sibling sessions' jobs on a shared cluster, nor earlier runs' on a
+  /// reused one (resumed runs see only this process's jobs, like the alloc
+  /// counters; Rehydrate's rebuild jobs are not counted). The straggler
+  /// ratio is the worst single phase's max/mean task vtime — the skew
+  /// headline the skew-aware partitioner exists to push toward 1.0.
+  /// Diagnostics only, never serialized.
   size_t mr_tasks = 0;          ///< map + reduce tasks across all jobs
   double task_vtime_max = 0.0;  ///< hottest single task, virtual seconds
   double task_vtime_mean = 0.0;
@@ -221,7 +222,8 @@ class FalconPipeline {
   /// `a`, `b`, `crowd`, and `cluster` must outlive the pipeline.
   FalconPipeline(const Table* a, const Table* b, CrowdPlatform* crowd,
                  Cluster* cluster, FalconConfig config);
-  ~FalconPipeline();
+  FalconPipeline(const FalconPipeline&) = delete;
+  FalconPipeline& operator=(const FalconPipeline&) = delete;
 
   /// Generates and executes the plan.
   Result<MatchResult> Run();
@@ -230,7 +232,10 @@ class FalconPipeline {
   /// the first operator. No-op if already started.
   Status Start();
 
-  /// Executes exactly one operator and advances state().next.
+  /// Executes exactly one operator and advances state().next. The first
+  /// Step() also builds the token stores every set-based feature, filter and
+  /// index reads: one `tokenize-stores` MapReduce job, charged unmasked as
+  /// the `index_build(tokenize)` operator.
   /// Precondition: started and not done().
   Status Step();
 
@@ -246,12 +251,12 @@ class FalconPipeline {
   const PipelineState& state() const { return state_; }
 
   /// Rebuilds the transient caches an imported state needs before its next
-  /// stage can run: feature vectors via gen_fvs, and — mirroring masking
-  /// optimization O1, whose index builds the original run hid inside crowd
-  /// windows — token stores and indexes. The rebuild work is deliberately
-  /// NOT charged to the run's metrics (the original run already accounted
-  /// it); it is reported through `rebuild_time` as session-level recovery
-  /// cost instead.
+  /// stage can run: the token stores (unless the next step is the first,
+  /// which builds them itself), feature vectors via gen_fvs, and — mirroring
+  /// masking optimization O1, whose index builds the original run hid inside
+  /// crowd windows — indexes. The rebuild work is deliberately NOT charged
+  /// to the run's metrics (the original run already accounted it); it is
+  /// reported through `rebuild_time` as session-level recovery cost instead.
   Status Rehydrate(VDuration* rebuild_time);
 
   /// The auto-generated feature set (valid after construction).
@@ -288,8 +293,11 @@ class FalconPipeline {
   void AddMachine(const std::string& name, VDuration raw, VDuration unmasked);
   /// MaskBank withdrawal: charges a maskable task, returns its unmasked part.
   VDuration MaskRun(VDuration d);
-  /// Recomputes total_time after each stage (t_c + t_u).
-  void RefreshTotalTime();
+  /// Folds one of this pipeline's jobs into the task-load rollup.
+  void FoldTaskLoad(const JobStats& job);
+  /// Builds the token stores in one `tokenize-stores` job and hands them to
+  /// the feature set; returns the job's virtual time.
+  VDuration TokenizeStores();
 
   const Table* a_;
   const Table* b_;
@@ -297,12 +305,14 @@ class FalconPipeline {
   Cluster* cluster_;
   FalconConfig config_;
   FeatureSet features_;
-  bool features_ready_ = false;
 
   PipelineState state_;
   IndexCatalog catalog_;
   IndexBuilder builder_;
   std::vector<SpecJob> spec_;
+  /// Sum of task vtimes behind metrics.task_vtime_mean (this process only,
+  /// like the rest of the rollup).
+  double task_vtime_sum_ = 0.0;
 };
 
 }  // namespace falcon

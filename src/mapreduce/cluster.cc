@@ -130,10 +130,24 @@ VDuration Cluster::ShuffleTime(size_t bytes) const {
   return VDuration::Seconds(static_cast<double>(bytes) / bandwidth);
 }
 
+namespace {
+thread_local ScopedJobSink* t_job_sink = nullptr;
+}  // namespace
+
+ScopedJobSink::ScopedJobSink(std::function<void(const JobStats&)> sink)
+    : sink_(std::move(sink)), outer_(t_job_sink) {
+  t_job_sink = this;
+}
+
+ScopedJobSink::~ScopedJobSink() { t_job_sink = outer_; }
+
 void Cluster::RecordJob(const JobStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_machine_time_ += stats.Total();
-  job_history_.push_back(stats);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    total_machine_time_ += stats.Total();
+    job_history_.push_back(stats);
+  }
+  if (t_job_sink != nullptr) t_job_sink->sink_(stats);
 }
 
 std::vector<JobStats> Cluster::JobHistorySnapshot() const {

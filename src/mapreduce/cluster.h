@@ -13,6 +13,7 @@
 #define FALCON_MAPREDUCE_CLUSTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -140,6 +141,24 @@ struct JobStats {
   double ReduceFractionAt(VDuration t) const;
 };
 
+/// While alive, every job the constructing thread records — on any cluster —
+/// is also handed to `sink`, on that thread. Jobs are recorded by the thread
+/// that ran them, so a session sharing a cluster with concurrent sessions
+/// sees exactly its own jobs this way. Scopes nest (the innermost receives);
+/// destroy on the constructing thread.
+class ScopedJobSink {
+ public:
+  explicit ScopedJobSink(std::function<void(const JobStats&)> sink);
+  ~ScopedJobSink();
+  ScopedJobSink(const ScopedJobSink&) = delete;
+  ScopedJobSink& operator=(const ScopedJobSink&) = delete;
+
+ private:
+  friend class Cluster;
+  std::function<void(const JobStats&)> sink_;
+  ScopedJobSink* outer_;
+};
+
 /// A simulated cluster: configuration plus accumulated accounting.
 ///
 /// Thread safety: RecordJob/ResetAccounting are synchronized so concurrent
@@ -176,7 +195,8 @@ class Cluster {
   /// (each converted to vtime via the core speed factor + task overhead).
   TaskLoadStats ComputeTaskLoad(const std::vector<double>& task_seconds) const;
 
-  /// Records a finished job in the accounting ledger.
+  /// Records a finished job in the accounting ledger and hands it to the
+  /// calling thread's ScopedJobSink, if any.
   void RecordJob(const JobStats& stats);
 
   /// Sum of virtual durations of all executed jobs. Synchronized against

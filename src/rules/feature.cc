@@ -1,9 +1,11 @@
 #include "rules/feature.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <set>
 
 #include "common/arena.h"
 #include "common/strings.h"
@@ -141,23 +143,28 @@ FeatureSet FeatureSet::Generate(const Table& a, const Table& b,
       fs.features_.push_back(std::move(f));
     }
   }
+  fs.views_.resize(fs.features_.size());
   return fs;
 }
 
 namespace {
 
-/// The bound store's view for (t, col, tok), or nullptr if the store is
-/// absent, bound to a different table, or lacks that view.
-const TokenSetView* ViewFor(const TokenStore* store, const Table& t, int col,
-                            Tokenization tok) {
-  if (store == nullptr || store->table() != &t) return nullptr;
-  return store->view(col, tok);
+/// Tokenization of the views feature `f` reads, or false if it reads none.
+bool ViewTokenization(const Feature& f, Tokenization* tok) {
+  if (IsSetBased(f.fn)) {
+    *tok = f.tok;
+    return true;
+  }
+  if (f.fn == SimFunction::kLevenshtein) {
+    *tok = Tokenization::kQgram3;
+    return true;
+  }
+  return false;
 }
 
-/// Set similarity over two sorted-unique sequences; dispatches on SimFunction
-/// for both the id-span and string-vector representations.
-template <typename Set>
-double SetSim(SimFunction fn, const Set& x, const Set& y) {
+/// Set similarity over two sorted-unique id spans.
+double SetSim(SimFunction fn, std::span<const TokenId> x,
+              std::span<const TokenId> y) {
   switch (fn) {
     case SimFunction::kJaccard:
       return JaccardSim(x, y);
@@ -172,17 +179,34 @@ double SetSim(SimFunction fn, const Set& x, const Set& y) {
 
 }  // namespace
 
-bool FeatureSet::TokenViews(int id, const Table& a, const Table& b,
-                            const TokenSetView** va,
-                            const TokenSetView** vb) const {
-  const Feature& f = features_[id];
-  if (!IsSetBased(f.fn)) return false;
-  const TokenSetView* view_a = ViewFor(store_a_, a, f.col_a, f.tok);
-  const TokenSetView* view_b = ViewFor(store_b_, b, f.col_b, f.tok);
-  if (view_a == nullptr || view_b == nullptr) return false;
-  *va = view_a;
-  *vb = view_b;
-  return true;
+std::vector<TokenStores::Key> FeatureSet::TokenStoreKeys() const {
+  std::set<TokenStores::Key> keys;
+  for (const Feature& f : features_) {
+    Tokenization tok;
+    if (!ViewTokenization(f, &tok)) continue;
+    keys.insert({false, f.col_a, tok});
+    keys.insert({true, f.col_b, tok});
+  }
+  return {keys.begin(), keys.end()};
+}
+
+void FeatureSet::SetTokenStores(std::unique_ptr<TokenStores> stores) {
+  stores_ = std::move(stores);
+  views_.assign(features_.size(), Views{});
+  for (const Feature& f : features_) {
+    Tokenization tok;
+    if (!ViewTokenization(f, &tok)) continue;
+    views_[f.id] = {stores_->view({false, f.col_a, tok}),
+                    stores_->view({true, f.col_b, tok})};
+    assert(views_[f.id].a != nullptr && views_[f.id].b != nullptr &&
+           "token stores lack a view the feature set reads");
+  }
+}
+
+void FeatureSet::BuildTokenStores(const Table& a, const Table& b) {
+  auto stores = std::make_unique<TokenStores>(&a, &b);
+  for (const TokenStores::Key& key : TokenStoreKeys()) stores->Build(key);
+  SetTokenStores(std::move(stores));
 }
 
 double FeatureSet::Compute(int id, const Table& a, RowId a_row,
@@ -202,16 +226,11 @@ double FeatureSet::Compute(int id, const Table& a, RowId a_row,
     case SimFunction::kDice:
     case SimFunction::kOverlap:
     case SimFunction::kCosine: {
-      // Dictionary-encoded fast path: both sides' interned sets share one
-      // dictionary, so set similarity over id spans is byte-identical to the
-      // string computation (it depends only on intersection and set sizes).
-      const TokenSetView* view_a = ViewFor(store_a_, a, f.col_a, f.tok);
-      const TokenSetView* view_b = ViewFor(store_b_, b, f.col_b, f.tok);
-      if (view_a != nullptr && view_b != nullptr) {
-        return SetSim(f.fn, view_a->row(a_row), view_b->row(b_row));
-      }
-      return SetSim(f.fn, ToTokenSet(Tokenize(va, f.tok)),
-                    ToTokenSet(Tokenize(vb, f.tok)));
+      // Both sides' interned sets share one dictionary, so similarity over
+      // id spans equals the string computation bit for bit (it depends only
+      // on intersection and set sizes).
+      const Views& v = views_[id];
+      return SetSim(f.fn, v.a->row(a_row), v.b->row(b_row));
     }
     case SimFunction::kAbsDiff: {
       double na = a.GetNumeric(a_row, f.col_a);

@@ -9,6 +9,13 @@
 // value is NaN. Downstream, decision trees route NaN to the majority branch
 // and blocking-rule predicates evaluate to false on NaN (a missing value can
 // never prove a non-match).
+//
+// Set-based features (Jaccard/Dice/Overlap/Cosine) compute over interned
+// token-id sets only. The task's TokenStores are a required input: built
+// once (FalconPipeline runs one `tokenize-stores` job on its first step) and
+// handed to the FeatureSet, which resolves a flat per-feature table of views.
+// Compute reads that table by feature id; it never tokenizes for them. The
+// string overloads in text/similarity.h remain as the tests' oracle.
 #ifndef FALCON_RULES_FEATURE_H_
 #define FALCON_RULES_FEATURE_H_
 
@@ -75,37 +82,45 @@ class FeatureSet {
   FeatureVec ComputeVector(const std::vector<int>& ids, const Table& a,
                            RowId a_row, const Table& b, RowId b_row) const;
 
-  /// Binds the token stores holding each table's interned token sets.
-  /// While bound, set-based features compute over integer-id spans instead
-  /// of retokenizing strings — byte-identical results, no allocation. The
-  /// stores must outlive the binding; callers owning a shorter-lived catalog
-  /// must unbind (pass nullptr, nullptr) before destroying it. Compute falls
-  /// back to the string path for any (table, attribute, tokenization) the
-  /// bound stores do not cover.
-  void BindTokenStores(const TokenStore* a_store, const TokenStore* b_store) {
-    store_a_ = a_store;
-    store_b_ = b_store;
-  }
+  /// Every token-set view a set-based or Levenshtein feature reads, sorted
+  /// and deduplicated: what the stores handed to SetTokenStores must hold.
+  /// Levenshtein features read 3-gram views (their blocking filters run over
+  /// 3-gram sets).
+  std::vector<TokenStores::Key> TokenStoreKeys() const;
 
-  /// Exposes the interned token-set views feature `id` would compute over:
-  /// true iff `id` is set-based and both bound stores cover the (table,
-  /// attribute, tokenization) — i.e. exactly when Compute takes the
-  /// dictionary-encoded fast path. Row-independent, so callers that only
-  /// need an intersection-count *predicate* (RuleApplier's threshold fast
-  /// path) resolve the store lookups once per sequence, then read per-row
-  /// spans off the views directly. Callers must still honor per-row
+  /// Takes ownership of the task's token stores and resolves each feature's
+  /// pair of views. `stores` must hold every view TokenStoreKeys() names,
+  /// built over the tables every later Compute passes. Required once before
+  /// any set-based feature is computed.
+  void SetTokenStores(std::unique_ptr<TokenStores> stores);
+
+  /// Builds every view TokenStoreKeys() names over `a` and `b` and hands
+  /// them to SetTokenStores. For callers outside FalconPipeline (tests,
+  /// benches, examples); the pipeline builds the same views in one charged
+  /// MapReduce job.
+  void BuildTokenStores(const Table& a, const Table& b);
+
+  /// The stores handed to SetTokenStores, or nullptr before that.
+  const TokenStores* token_stores() const { return stores_.get(); }
+
+  /// The interned token-set views one feature reads.
+  struct Views {
+    const TokenSetView* a = nullptr;
+    const TokenSetView* b = nullptr;
+  };
+  /// Views of feature `id`: both null for features that read no token sets
+  /// (and before SetTokenStores). Callers reading per-row spans directly
+  /// (RuleApplier's threshold fast path) must still honor per-row
   /// missingness (Table::IsMissing), which Compute maps to NaN.
-  bool TokenViews(int id, const Table& a, const Table& b,
-                  const TokenSetView** va, const TokenSetView** vb) const;
+  const Views& token_views(int id) const { return views_[id]; }
 
  private:
   std::vector<Feature> features_;
   std::vector<int> blocking_ids_;
   std::vector<int> all_ids_;
   std::vector<std::unique_ptr<IdfDict>> idfs_;
-  /// Optional dictionary-encoded fast path (not owned); see BindTokenStores.
-  const TokenStore* store_a_ = nullptr;
-  const TokenStore* store_b_ = nullptr;
+  std::unique_ptr<TokenStores> stores_;
+  std::vector<Views> views_;  ///< by feature id; see SetTokenStores
 };
 
 /// Lazy, memoized per-pair feature evaluation for the fused matching stage.

@@ -1,7 +1,7 @@
 #include "table/token_store.h"
 
 #include <algorithm>
-#include <cassert>
+#include <vector>
 
 namespace falcon {
 
@@ -11,69 +11,37 @@ const TokenSetView* TokenStore::view(int col, Tokenization tok) const {
 }
 
 const TokenSetView& TokenStore::EnsureView(int col, Tokenization tok) {
-  if (const TokenSetView* v = view(col, tok)) return *v;
-  StartView(col, tok);
-  for (RowId r = 0; r < table_->num_rows(); ++r) AppendRow(r);
-  return FinishView();
-}
-
-bool TokenStore::StartView(int col, Tokenization tok) {
-  assert(pending_ == nullptr && "previous view build not finished");
-  auto key = std::make_pair(col, static_cast<int>(tok));
-  if (views_.count(key) != 0) return false;
-  pending_ = &views_[key];
-  build_ids_.clear();
-  build_offsets_.clear();
-  build_offsets_.reserve(table_->num_rows() + 1);
-  build_offsets_.push_back(0);
-  pending_col_ = col;
-  pending_tok_ = tok;
-  return true;
-}
-
-void TokenStore::AppendRow(RowId row) {
-  assert(pending_ != nullptr);
-  assert(build_offsets_.size() == row + 1 && "rows must arrive in order");
-  if (!table_->IsMissing(row, pending_col_)) {
-    for (const std::string& t :
-         Tokenize(table_->Get(row, pending_col_), pending_tok_)) {
-      build_ids_.push_back(dict_->Intern(t));
+  auto [it, inserted] = views_.try_emplace({col, static_cast<int>(tok)});
+  TokenSetView& view = it->second;
+  if (!inserted) return view;
+  const size_t n = table_->num_rows();
+  std::vector<TokenId> ids;
+  std::vector<uint32_t> offsets;
+  offsets.reserve(n + 1);
+  offsets.push_back(0);
+  for (RowId r = 0; r < n; ++r) {
+    if (!table_->IsMissing(r, col)) {
+      for (const std::string& t : Tokenize(table_->Get(r, col), tok)) {
+        ids.push_back(dict_->Intern(t));
+      }
+      auto begin = ids.begin() + offsets.back();
+      std::sort(begin, ids.end());
+      ids.erase(std::unique(begin, ids.end()), ids.end());
     }
-    auto begin = build_ids_.begin() + build_offsets_.back();
-    std::sort(begin, build_ids_.end());
-    build_ids_.erase(std::unique(begin, build_ids_.end()), build_ids_.end());
+    offsets.push_back(static_cast<uint32_t>(ids.size()));
   }
-  build_offsets_.push_back(static_cast<uint32_t>(build_ids_.size()));
-}
-
-const TokenSetView& TokenStore::FinishView() {
-  assert(pending_ != nullptr);
-  assert(build_offsets_.size() == table_->num_rows() + 1);
-  TokenSetView* done = pending_;
-  // Copy the assembled CSR into exact-size arena blocks; the scratch is
-  // released so the finished store holds only the tight arrays.
-  TokenId* ids = arena_.AllocateArray<TokenId>(build_ids_.size());
-  std::copy(build_ids_.begin(), build_ids_.end(), ids);
-  uint32_t* offsets = arena_.AllocateArray<uint32_t>(build_offsets_.size());
-  std::copy(build_offsets_.begin(), build_offsets_.end(), offsets);
-  done->ids_ = ids;
-  done->offsets_ = offsets;
-  done->num_rows_ = build_offsets_.size() - 1;
-  done->num_ids_ = build_ids_.size();
-  // `= {}` would keep the scratch capacity (initializer-list assignment
-  // clears, never shrinks); swap with empties to actually release it.
-  std::vector<TokenId>().swap(build_ids_);
-  std::vector<uint32_t>().swap(build_offsets_);
-  pending_ = nullptr;
-  pending_col_ = -1;
-  return *done;
+  // Exact-size copies; the scratch vectors and their slack die here.
+  view.ids_.assign(ids.begin(), ids.end());
+  view.offsets_.assign(offsets.begin(), offsets.end());
+  return view;
 }
 
 size_t TokenStore::MemoryUsage() const {
-  return arena_.bytes_reserved() +
-         build_ids_.capacity() * sizeof(TokenId) +
-         build_offsets_.capacity() * sizeof(uint32_t) +
-         views_.size() * (sizeof(TokenSetView) + sizeof(void*) * 4);
+  size_t bytes = 0;
+  for (const auto& [key, view] : views_) {
+    bytes += view.MemoryUsage() + sizeof(view) + sizeof(void*) * 4;
+  }
+  return bytes;
 }
 
 }  // namespace falcon

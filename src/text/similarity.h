@@ -59,6 +59,10 @@ bool IsNumericDistance(SimFunction f);
 bool UsableForBlocking(SimFunction f);
 
 // --- set-based similarities over sorted unique token vectors --------------
+//
+// The reference definitions. No production path calls these: features and
+// filters compute over interned ids (below). Tests and the similarity micro
+// bench keep them as the oracle the id path must match bit for bit.
 
 double JaccardSim(const std::vector<std::string>& x,
                   const std::vector<std::string>& y);
@@ -71,7 +75,7 @@ double CosineSim(const std::vector<std::string>& x,
 
 // --- set-based similarities over sorted unique TokenId spans ----------------
 //
-// The dictionary-encoded hot path: identical formulas over interned ids.
+// The one production path: identical formulas over interned ids.
 // Because the set functions depend only on |x ∩ y|, |x| and |y|, results are
 // bit-identical to the string overloads whenever both sides were interned
 // through one TokenDictionary (any total order on distinct elements yields

@@ -49,6 +49,18 @@ bool TokenDictionary::Find(std::string_view token, TokenId* id) const {
   return true;
 }
 
+void TokenDictionary::Freeze(bool keep_texts) {
+  std::vector<TokenId>().swap(slots_);
+  std::vector<uint64_t>().swap(freq_);
+  if (keep_texts) {
+    texts_.shrink_to_fit();
+  } else {
+    std::vector<std::string_view>().swap(texts_);
+    arena_.Reset();
+    arena_.Trim(0);
+  }
+}
+
 size_t TokenDictionary::MemoryUsage() const {
   return arena_.bytes_reserved() +
          texts_.capacity() * sizeof(std::string_view) +

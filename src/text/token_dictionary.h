@@ -7,7 +7,8 @@
 // let the inverted index key postings by id (index/inverted_index.h). The
 // dictionary also tracks per-token occurrence frequencies; the global token
 // ordering (index/token_ordering.h) stores its ranks as a vector indexed by
-// TokenId, subsuming the string-keyed rank map it used before.
+// TokenId. Once a task's token stores are built, Freeze() drops everything
+// but the texts (or all of it, when no index will be built).
 //
 // Token texts are copied into an owned, provider-backed bump arena
 // (common/arena.h) — one char blob per token instead of one heap
@@ -20,8 +21,9 @@
 // layout cannot leak into any downstream result.
 //
 // Set similarities depend only on |x ∩ y|, |x| and |y|, so any shared total
-// order on ids reproduces the string-path results bit for bit — the
-// determinism contract the property tests pin down.
+// order on ids reproduces the string similarities bit for bit — the
+// determinism contract the property tests pin down against the string
+// oracle.
 #ifndef FALCON_TEXT_TOKEN_DICTIONARY_H_
 #define FALCON_TEXT_TOKEN_DICTIONARY_H_
 
@@ -42,9 +44,9 @@ using TokenId = uint32_t;
 /// String <-> TokenId interning with per-token occurrence counts.
 ///
 /// Not copyable (slots index into the owned arena's texts); movable.
-/// Thread safety: Intern() mutates and must be externally serialized (index
-/// construction runs it in serial MapReduce jobs); Find()/Text()/Frequency()
-/// are safe to call concurrently once interning is done.
+/// Thread safety: Intern() mutates and must be externally serialized (the
+/// token-store build runs it in one serial MapReduce job); Find(), Text()
+/// and Frequency() are safe to call concurrently once interning is done.
 class TokenDictionary {
  public:
   /// Token-text pages come from `provider` (process heap when null).
@@ -68,6 +70,13 @@ class TokenDictionary {
 
   /// Total occurrences passed to Intern() for this token.
   uint64_t Frequency(TokenId id) const { return freq_[id]; }
+
+  /// Ends interning: releases the lookup table and the occurrence counts,
+  /// and the token texts too unless `keep_texts`. Afterwards only Text()
+  /// and size() may be called, and only if the texts were kept. Finished
+  /// token sets need no dictionary at all; index construction needs the
+  /// texts (token orderings break frequency ties by text).
+  void Freeze(bool keep_texts);
 
   size_t size() const { return texts_.size(); }
 

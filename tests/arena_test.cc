@@ -339,6 +339,7 @@ struct EquivalenceFixture {
     opt.missing_rate = 0.05;
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
 
     int jac_title = -1;
     for (const auto& f : fs.features()) {
@@ -355,7 +356,7 @@ struct EquivalenceFixture {
     seq.selectivity = 0.02;
 
     Cluster cluster(FastCluster());
-    IndexBuilder builder(&data.a, &cluster);
+    IndexBuilder builder(&data.a, &fs, &cluster);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
   }
 };
@@ -394,6 +395,7 @@ TEST(ArenaEquivalenceTest, FusedPredictionsMatchHeapPath) {
   opt.missing_rate = 0.1;
   auto d = GenerateProducts(opt);
   auto fs = FeatureSet::Generate(d.a, d.b);
+  fs.BuildTokenStores(d.a, d.b);
   Rng rng(7);
 
   std::vector<PairQuestion> train_pairs;

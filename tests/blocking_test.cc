@@ -152,6 +152,7 @@ struct ApplyFixture {
     opt.missing_rate = missing_rate;
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
 
     int jac_title = -1;
     int em_brand = -1;
@@ -186,7 +187,7 @@ struct ApplyFixture {
     seq.rules = {r1, r2};
     seq.selectivity = 0.01;
 
-    IndexBuilder builder(&data.a, &cluster);
+    IndexBuilder builder(&data.a, &fs, &cluster);
     CnfRule q = ToCnf(seq);
     VDuration t =
         builder.Ensure(IndexBuilder::NeedsOfCnf(q, fs), &catalog);
@@ -350,7 +351,7 @@ TEST(SelectMethodTest, FallsBackUnderMemoryPressure) {
 
 TEST(IndexBuilderTest, EnsureIsIncremental) {
   ApplyFixture fixture;
-  IndexBuilder builder(&fixture.data.a, &fixture.cluster);
+  IndexBuilder builder(&fixture.data.a, &fixture.fs, &fixture.cluster);
   CnfRule q = ToCnf(fixture.seq);
   auto needs = IndexBuilder::NeedsOfCnf(q, fixture.fs);
   // Catalog already holds everything from the fixture constructor.
@@ -377,7 +378,7 @@ TEST(IndexBuilderTest, GenericNeedsCoverBlockingFeatures) {
 
 TEST(IndexBuilderTest, PrebuiltOrderingSpeedsBundle) {
   ApplyFixture fixture;
-  IndexBuilder builder(&fixture.data.a, &fixture.cluster);
+  IndexBuilder builder(&fixture.data.a, &fixture.fs, &fixture.cluster);
   // Build ordering first (as masking O1 would), then the bundle.
   IndexCatalog cat;
   int col = fixture.fs.feature(fixture.seq.rules[0].predicates[0].feature_id)

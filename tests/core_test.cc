@@ -96,6 +96,7 @@ struct AlFixture {
 
   AlFixture() {
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
     Rng rng(2);
     auto sample = SamplePairs(data.a, data.b, 4000, 50, &cluster, &rng);
     pairs = sample->pairs;

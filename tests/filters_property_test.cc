@@ -4,7 +4,11 @@
 // holds. Violations are silent recall loss — the worst failure mode a
 // blocking system can have.
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +35,7 @@ struct ProbeFixture {
     opt.missing_rate = 0.06;  // stress the missing-value paths
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
   }
 
   /// Finds a blocking feature by function (+ tokenization) and attribute.
@@ -46,7 +51,7 @@ struct ProbeFixture {
   }
 
   void EnsureIndexFor(const Predicate& pred) {
-    IndexBuilder builder(&data.a, &cluster);
+    IndexBuilder builder(&data.a, &fs, &cluster);
     IndexNeed need = ClassifyPredicate(pred, fs);
     ASSERT_NE(need.kind, IndexKind::kNone);
     builder.Ensure({need}, &catalog);
@@ -219,6 +224,7 @@ TEST(ApplyEquivalenceWideRules, AllOperatorsMatchBruteForce) {
   opt.missing_rate = 0.05;
   auto data = GenerateProducts(opt);
   auto fs = FeatureSet::Generate(data.a, data.b);
+  fs.BuildTokenStores(data.a, data.b);
 
   auto find = [&](SimFunction fn, const char* attr, Tokenization tok) {
     for (const auto& f : fs.features()) {
@@ -269,7 +275,7 @@ TEST(ApplyEquivalenceWideRules, AllOperatorsMatchBruteForce) {
 
   Cluster cluster{ClusterConfig{}};
   IndexCatalog catalog;
-  IndexBuilder builder(&data.a, &cluster);
+  IndexBuilder builder(&data.a, &fs, &cluster);
   builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
 
   RuleApplier applier(seq, &fs, &data.a, &data.b);
@@ -300,136 +306,204 @@ TEST(ApplyEquivalenceWideRules, AllOperatorsMatchBruteForce) {
   }
 }
 
-// --- Dictionary-encoded path equivalence ---------------------------------------
+// --- Dictionary-encoded path vs the string oracle ---------------------------
 //
-// The token-store probe path must be byte-identical to the string path: same
-// candidate rows, in the same order, for every predicate and every B row.
-// Two catalogs are built over the same tables — one with B-side store views
-// (store probing) and one without (tokenize + dictionary-lookup fallback) —
-// and their ProbePredicate outputs compared exactly.
-TEST(DictEncodedEquivalence, StoreAndFallbackProbesAreByteIdentical) {
-  WorkloadOptions opt;
-  opt.size_a = 220;
-  opt.size_b = 150;
-  opt.seed = 9;
-  opt.missing_rate = 0.06;
-  auto data = GenerateProducts(opt);
-  auto fs = FeatureSet::Generate(data.a, data.b);
+// Features and probes run on interned token ids only. The string overloads of
+// text/similarity.h and Tokenize/ToTokenSet are the oracle they must match,
+// over several generators' tables, with missing values and values that
+// tokenize to nothing.
 
-  struct Case {
-    SimFunction fn;
-    const char* attr;
-    Tokenization tok;
-    PredOp op;
-    double t;
-  };
-  const Case cases[] = {
-      {SimFunction::kJaccard, "(title,title)", Tokenization::kWord,
-       PredOp::kGt, 0.4},
-      {SimFunction::kDice, "(title,title)", Tokenization::kWord, PredOp::kGe,
-       0.5},
-      {SimFunction::kCosine, "(title,title)", Tokenization::kWord,
-       PredOp::kGe, 0.45},
-      {SimFunction::kOverlap, "(descr,descr)", Tokenization::kWord,
-       PredOp::kGt, 0.6},
-      {SimFunction::kJaccard, "(brand,brand)", Tokenization::kQgram3,
-       PredOp::kGe, 0.6},
-      {SimFunction::kLevenshtein, "(brand,brand)", Tokenization::kQgram3,
-       PredOp::kGe, 0.7},
-  };
-
-  auto find = [&](const Case& c) {
-    for (const auto& f : fs.features()) {
-      if (f.fn == c.fn && f.name.find(c.attr) != std::string::npos &&
-          (!IsSetBased(c.fn) || f.tok == c.tok)) {
-        return f.id;
-      }
+/// `t` with the string attributes of every 7th row replaced by punctuation,
+/// which word-tokenizes to nothing (and 3-gram-tokenizes to padding grams).
+Table WithUntokenizableValues(const Table& t) {
+  Table out(t.schema());
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    std::vector<std::string> row;
+    for (size_t c = 0; c < t.num_cols(); ++c) {
+      const bool blank = r % 7 == 3 && !t.IsMissing(r, c) &&
+                         t.schema().attr(c).type == AttrType::kString;
+      row.emplace_back(blank ? "-- !!" : std::string(t.Get(r, c)));
     }
-    return -1;
-  };
-
-  Cluster cluster{ClusterConfig{}};
-  // with_store: full build including B-side views. fallback: indexes only —
-  // its catalog still interns A's tokens (BuildOrdering builds the A store),
-  // but has no view for table B, forcing the tokenize+Find fallback.
-  IndexCatalog with_store;
-  IndexCatalog fallback;
-  IndexBuilder builder(&data.a, &cluster);
-  builder.EnsureTokenStores(data.b, fs, &with_store);
-  ASSERT_NE(with_store.store(&data.b), nullptr);
-  for (const Case& c : cases) {
-    int f = find(c);
-    ASSERT_GE(f, 0) << c.attr;
-    Predicate pred{f, f, c.op, c.t};
-    IndexNeed need = ClassifyPredicate(pred, fs);
-    builder.Ensure({need}, &with_store);
-    builder.Ensure({need}, &fallback);
+    EXPECT_TRUE(out.AppendRow(row).ok());
   }
-  ASSERT_EQ(fallback.store(&data.b), nullptr);
+  return out;
+}
 
-  ClauseProber store_prober(&with_store, &fs, data.a.num_rows());
-  ClauseProber fb_prober(&fallback, &fs, data.a.num_rows());
-  for (const Case& c : cases) {
-    Predicate pred{find(c), find(c), c.op, c.t};
-    for (RowId b = 0; b < data.b.num_rows(); ++b) {
-      CandidateSet via_store = store_prober.ProbePredicate(pred, data.b, b);
-      CandidateSet via_fb = fb_prober.ProbePredicate(pred, data.b, b);
-      ASSERT_EQ(via_store.all, via_fb.all)
-          << c.attr << " b=" << b << " t=" << c.t;
-      ASSERT_EQ(via_store.rows, via_fb.rows)
-          << c.attr << " b=" << b << " t=" << c.t;
-    }
+struct OracleTables {
+  std::string name;
+  Table a;
+  Table b;
+};
+
+std::vector<OracleTables> OracleDatasets(size_t size_a, size_t size_b) {
+  std::vector<OracleTables> out;
+  for (const char* name : {"products", "songs", "citations"}) {
+    WorkloadOptions opt;
+    opt.size_a = size_a;
+    opt.size_b = size_b;
+    opt.seed = 21;
+    opt.missing_rate = 0.08;
+    auto data = GenerateByName(name, opt);
+    EXPECT_TRUE(data.ok()) << name;
+    out.push_back({name, WithUntokenizableValues(data->a),
+                   WithUntokenizableValues(data->b)});
+  }
+  return out;
+}
+
+/// The string oracle's token set of one cell (empty when missing).
+std::vector<std::string> OracleTokens(const Table& t, RowId r, int col,
+                                      Tokenization tok) {
+  if (t.IsMissing(r, col)) return {};
+  return ToTokenSet(Tokenize(t.Get(r, col), tok));
+}
+
+double OracleSetSim(SimFunction fn, const std::vector<std::string>& x,
+                    const std::vector<std::string>& y) {
+  switch (fn) {
+    case SimFunction::kJaccard:
+      return JaccardSim(x, y);
+    case SimFunction::kDice:
+      return DiceSim(x, y);
+    case SimFunction::kOverlap:
+      return OverlapSim(x, y);
+    default:
+      return CosineSim(x, y);
   }
 }
 
-// Set-based features computed through bound token stores must equal the
-// string-path values exactly — including NaN for missing values.
-TEST(DictEncodedEquivalence, BoundFeatureComputeMatchesStringPath) {
-  WorkloadOptions opt;
-  opt.size_a = 120;
-  opt.size_b = 90;
-  opt.seed = 21;
-  opt.missing_rate = 0.08;
-  auto data = GenerateProducts(opt);
-  auto fs = FeatureSet::Generate(data.a, data.b);
+// Every row of every view holds exactly the string oracle's token set, and
+// probes are sound against the string similarities: every A-row whose pair
+// satisfies the predicate (or is missing) is a candidate. A second store
+// interning the views in reverse order (different ids) must probe
+// byte-identically — same rows, same order.
+TEST(DictEncodedEquivalence, StoreProbesMatchStringOracle) {
+  for (const OracleTables& d : OracleDatasets(160, 120)) {
+    SCOPED_TRACE(d.name);
+    auto fs = FeatureSet::Generate(d.a, d.b);
+    fs.BuildTokenStores(d.a, d.b);
+    auto reversed = FeatureSet::Generate(d.a, d.b);
+    {
+      auto stores = std::make_unique<TokenStores>(&d.a, &d.b);
+      auto keys = reversed.TokenStoreKeys();
+      for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+        stores->Build(*it);
+      }
+      reversed.SetTokenStores(std::move(stores));
+    }
 
-  // Unbound (string path) values first.
-  std::vector<std::vector<double>> expect(data.a.num_rows());
-  std::vector<int> ids = fs.blocking_ids();
-  for (RowId a = 0; a < data.a.num_rows(); ++a) {
-    for (RowId b = 0; b < data.b.num_rows(); ++b) {
-      for (int id : ids) {
-        expect[a].push_back(fs.Compute(id, data.a, a, data.b, b));
+    const TokenStores& stores = *fs.token_stores();
+    for (const TokenStores::Key& key : fs.TokenStoreKeys()) {
+      const Table& t = key.side_b ? d.b : d.a;
+      const TokenSetView* view = stores.view(key);
+      ASSERT_NE(view, nullptr);
+      for (RowId r = 0; r < t.num_rows(); ++r) {
+        std::vector<std::string> got;
+        for (TokenId id : view->row(r)) {
+          got.emplace_back(stores.dict().Text(id));
+        }
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, OracleTokens(t, r, key.col, key.tok))
+            << "col " << key.col << " row " << r;
       }
     }
-  }
 
-  Cluster cluster{ClusterConfig{}};
-  IndexCatalog catalog;
-  IndexBuilder builder(&data.a, &cluster);
-  builder.EnsureTokenStores(data.b, fs, &catalog);
-  fs.BindTokenStores(catalog.store(&data.a), catalog.store(&data.b));
+    Cluster cluster{ClusterConfig{}};
+    IndexCatalog catalog;
+    IndexCatalog rev_catalog;
+    IndexBuilder builder(&d.a, &fs, &cluster);
+    IndexBuilder rev_builder(&d.a, &reversed, &cluster);
+    std::vector<Predicate> preds;
+    for (const Feature& f : fs.features()) {
+      if (!f.usable_for_blocking ||
+          (!IsSetBased(f.fn) && f.fn != SimFunction::kLevenshtein)) {
+        continue;
+      }
+      // 0.7: above 2/3 the one-shared-3-gram Levenshtein filter is sound
+      // for every string length.
+      Predicate pred{f.id, f.id, PredOp::kGe, 0.7};
+      ASSERT_EQ(ClassifyPredicate(pred, fs).kind, IndexKind::kToken);
+      builder.Ensure({ClassifyPredicate(pred, fs)}, &catalog);
+      rev_builder.Ensure({ClassifyPredicate(pred, reversed)}, &rev_catalog);
+      preds.push_back(pred);
+    }
+    ASSERT_FALSE(preds.empty());
 
-  size_t nan_count = 0;
-  for (RowId a = 0; a < data.a.num_rows(); ++a) {
-    size_t i = 0;
-    for (RowId b = 0; b < data.b.num_rows(); ++b) {
-      for (int id : ids) {
-        double want = expect[a][i++];
-        double got = fs.Compute(id, data.a, a, data.b, b);
-        if (std::isnan(want)) {
-          ++nan_count;
-          ASSERT_TRUE(std::isnan(got))
-              << fs.feature(id).name << " a=" << a << " b=" << b;
-        } else {
-          ASSERT_EQ(want, got)  // exact, not approximate
-              << fs.feature(id).name << " a=" << a << " b=" << b;
+    ClauseProber prober(&catalog, &fs, d.a.num_rows());
+    ClauseProber rev_prober(&rev_catalog, &reversed, d.a.num_rows());
+    size_t pruned = 0;
+    for (const Predicate& pred : preds) {
+      const Feature& f = fs.feature(pred.feature_id);
+      const Tokenization tok = IsSetBased(f.fn) ? f.tok : Tokenization::kQgram3;
+      std::vector<std::vector<std::string>> a_tokens(d.a.num_rows());
+      for (RowId a = 0; a < d.a.num_rows(); ++a) {
+        a_tokens[a] = OracleTokens(d.a, a, f.col_a, tok);
+      }
+      for (RowId b = 0; b < d.b.num_rows(); ++b) {
+        CandidateSet cand = prober.ProbePredicate(pred, d.b, b);
+        CandidateSet rev = rev_prober.ProbePredicate(pred, d.b, b);
+        ASSERT_EQ(cand.all, rev.all) << f.name << " b=" << b;
+        ASSERT_EQ(cand.rows, rev.rows) << f.name << " b=" << b;
+        if (cand.all) continue;
+        pruned += d.a.num_rows() - cand.rows.size();
+        std::set<RowId> got(cand.rows.begin(), cand.rows.end());
+        ASSERT_EQ(got.size(), cand.rows.size()) << "duplicate candidates";
+        const auto y = OracleTokens(d.b, b, f.col_b, tok);
+        for (RowId a = 0; a < d.a.num_rows(); ++a) {
+          if (d.a.IsMissing(a, f.col_a)) {
+            ASSERT_TRUE(got.count(a)) << f.name << " missing a=" << a;
+            continue;
+          }
+          const double sim =
+              IsSetBased(f.fn)
+                  ? OracleSetSim(f.fn, a_tokens[a], y)
+                  : LevenshteinSim(d.a.Get(a, f.col_a), d.b.Get(b, f.col_b));
+          if (pred.Eval(sim)) {
+            ASSERT_TRUE(got.count(a))
+                << f.name << " dropped a satisfying pair a=" << a
+                << " b=" << b << " sim=" << sim;
+          }
         }
       }
     }
+    EXPECT_GT(pruned, 0u) << "the filters must prune something";
   }
-  EXPECT_GT(nan_count, 0u) << "fixture should exercise missing values";
-  fs.BindTokenStores(nullptr, nullptr);
+}
+
+// Set-based features computed over the token stores equal the string
+// oracle's values exactly — NaN for missing values, and the string value
+// for values that tokenize to nothing.
+TEST(DictEncodedEquivalence, BoundFeatureComputeMatchesStringPath) {
+  for (const OracleTables& d : OracleDatasets(70, 60)) {
+    SCOPED_TRACE(d.name);
+    auto fs = FeatureSet::Generate(d.a, d.b);
+    fs.BuildTokenStores(d.a, d.b);
+    size_t nan_count = 0;
+    size_t empty_count = 0;
+    size_t checked = 0;
+    for (const Feature& f : fs.features()) {
+      if (!IsSetBased(f.fn)) continue;
+      for (RowId a = 0; a < d.a.num_rows(); ++a) {
+        const auto x = OracleTokens(d.a, a, f.col_a, f.tok);
+        for (RowId b = 0; b < d.b.num_rows(); ++b) {
+          const double got = fs.Compute(f.id, d.a, a, d.b, b);
+          ++checked;
+          if (d.a.IsMissing(a, f.col_a) || d.b.IsMissing(b, f.col_b)) {
+            ++nan_count;
+            ASSERT_TRUE(std::isnan(got)) << f.name << " a=" << a << " b=" << b;
+            continue;
+          }
+          const auto y = OracleTokens(d.b, b, f.col_b, f.tok);
+          if (x.empty() || y.empty()) ++empty_count;
+          ASSERT_EQ(got, OracleSetSim(f.fn, x, y))  // exact, not approximate
+              << f.name << " a=" << a << " b=" << b;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u);
+    EXPECT_GT(nan_count, 0u) << "fixture should exercise missing values";
+    EXPECT_GT(empty_count, 0u) << "fixture should exercise empty token sets";
+  }
 }
 
 // Concurrent probing against one shared read-only store: every thread reads
@@ -444,6 +518,7 @@ TEST(DictEncodedEquivalence, ParallelApplyMatchesSerialWithStores) {
   opt.missing_rate = 0.05;
   auto data = GenerateProducts(opt);
   auto fs = FeatureSet::Generate(data.a, data.b);
+  fs.BuildTokenStores(data.a, data.b);
 
   auto find = [&](SimFunction fn, const char* attr, Tokenization tok) {
     for (const auto& f : fs.features()) {
@@ -472,14 +547,11 @@ TEST(DictEncodedEquivalence, ParallelApplyMatchesSerialWithStores) {
     cfg.local_threads = threads;
     Cluster cluster{cfg};
     IndexCatalog catalog;
-    IndexBuilder builder(&data.a, &cluster);
-    builder.EnsureTokenStores(data.b, fs, &catalog);
+    IndexBuilder builder(&data.a, &fs, &cluster);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
-    fs.BindTokenStores(catalog.store(&data.a), catalog.store(&data.b));
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
                                   ApplyMethod::kApplyPredicate,
                                   ApplyOptions{});
-    fs.BindTokenStores(nullptr, nullptr);
     EXPECT_TRUE(res.ok()) << res.status().ToString();
     auto pairs = res->pairs;
     std::sort(pairs.begin(), pairs.end());

@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,78 +20,84 @@ namespace {
 
 // --- TokenOrdering -------------------------------------------------------------
 
+/// Interns `counts` in order and returns the ordering over their
+/// frequencies; `ids` receives each token's id.
+TokenOrdering OrderingOf(
+    TokenDictionary* dict,
+    const std::vector<std::pair<std::string, uint64_t>>& counts,
+    std::map<std::string, TokenId>* ids) {
+  for (const auto& [token, count] : counts) (*ids)[token] = dict->Intern(token);
+  std::vector<uint64_t> freq(dict->size(), 0);
+  for (const auto& [token, count] : counts) freq[(*ids)[token]] = count;
+  return TokenOrdering::FromIdFrequencies(dict, freq);
+}
+
 TEST(TokenOrderingTest, RareFirst) {
-  std::unordered_map<std::string, uint64_t> freq = {
-      {"common", 100}, {"mid", 10}, {"rare", 1}};
-  auto ord = TokenOrdering::FromFrequencies(freq);
+  TokenDictionary dict;
+  std::map<std::string, TokenId> id;
+  auto ord = OrderingOf(
+      &dict, {{"common", 100}, {"mid", 10}, {"rare", 1}, {"unseen", 0}}, &id);
   uint32_t r_rare, r_mid, r_common;
-  ASSERT_TRUE(ord.Rank("rare", &r_rare));
-  ASSERT_TRUE(ord.Rank("mid", &r_mid));
-  ASSERT_TRUE(ord.Rank("common", &r_common));
+  ASSERT_TRUE(ord.RankId(id["rare"], &r_rare));
+  ASSERT_TRUE(ord.RankId(id["mid"], &r_mid));
+  ASSERT_TRUE(ord.RankId(id["common"], &r_common));
   EXPECT_LT(r_rare, r_mid);
   EXPECT_LT(r_mid, r_common);
+  EXPECT_EQ(ord.size(), 3u);
+  // Zero-frequency and out-of-range ids are unranked.
   uint32_t dummy;
-  EXPECT_FALSE(ord.Rank("unseen", &dummy));
+  EXPECT_FALSE(ord.RankId(id["unseen"], &dummy));
+  EXPECT_FALSE(ord.RankId(999, &dummy));
 }
 
 TEST(TokenOrderingTest, TiesBrokenLexicographically) {
-  std::unordered_map<std::string, uint64_t> freq = {{"b", 5}, {"a", 5}};
-  auto ord = TokenOrdering::FromFrequencies(freq);
+  TokenDictionary dict;
+  std::map<std::string, TokenId> id;
+  // "b" is interned first, so it has the smaller id; text decides the tie.
+  auto ord = OrderingOf(&dict, {{"b", 5}, {"a", 5}}, &id);
   uint32_t ra, rb;
-  ASSERT_TRUE(ord.Rank("a", &ra));
-  ASSERT_TRUE(ord.Rank("b", &rb));
+  ASSERT_TRUE(ord.RankId(id["a"], &ra));
+  ASSERT_TRUE(ord.RankId(id["b"], &rb));
   EXPECT_LT(ra, rb);
 }
 
 TEST(TokenOrderingTest, SortPutsUnknownFirst) {
-  std::unordered_map<std::string, uint64_t> freq = {{"x", 1}, {"y", 2}};
-  auto ord = TokenOrdering::FromFrequencies(freq);
-  std::vector<std::string> tokens = {"y", "zz_unseen", "x"};
-  ord.Sort(&tokens);
-  EXPECT_EQ(tokens[0], "zz_unseen");
-  EXPECT_EQ(tokens[1], "x");
-  EXPECT_EQ(tokens[2], "y");
+  TokenDictionary dict;
+  std::map<std::string, TokenId> id;
+  auto ord = OrderingOf(
+      &dict, {{"y", 2}, {"zz_unseen", 0}, {"x", 1}, {"aa_unseen", 0}}, &id);
+  std::vector<TokenId> ids = {id["y"], id["zz_unseen"], id["x"],
+                              id["aa_unseen"]};
+  ord.SortIds(&ids);
+  // Unranked first (rarer than anything seen), among themselves by text.
+  EXPECT_EQ(ids, (std::vector<TokenId>{id["aa_unseen"], id["zz_unseen"],
+                                       id["x"], id["y"]}));
 }
 
 // The id-based ordering must reproduce the string ordering exactly: rank
-// ascending by frequency, frequency ties broken by token text.
+// ascending by frequency, frequency ties broken by token text — whatever
+// order the ids were interned in.
 TEST(TokenOrderingTest, FromIdFrequenciesMatchesStringOrdering) {
-  TokenDictionary dict;
   // Interning order scrambled relative to both frequency and lex order.
-  TokenId common = dict.Intern("common");
-  TokenId b = dict.Intern("b_tie");
-  TokenId rare = dict.Intern("rare");
-  TokenId a = dict.Intern("a_tie");
-  std::vector<uint64_t> freq(dict.size(), 0);
-  freq[common] = 100;
-  freq[rare] = 1;
-  freq[a] = 5;
-  freq[b] = 5;
-  auto ord = TokenOrdering::FromIdFrequencies(&dict, freq);
-  EXPECT_TRUE(ord.has_ids());
+  const std::vector<std::pair<std::string, uint64_t>> counts = {
+      {"common", 100}, {"b_tie", 5}, {"rare", 1}, {"a_tie", 5}};
+  TokenDictionary dict;
+  std::map<std::string, TokenId> id;
+  auto ord = OrderingOf(&dict, counts, &id);
   EXPECT_EQ(ord.size(), 4u);
 
-  auto ord_str = TokenOrdering::FromFrequencies(
-      {{"common", 100}, {"rare", 1}, {"a_tie", 5}, {"b_tie", 5}});
-  for (TokenId id : {common, b, rare, a}) {
-    uint32_t via_id, via_str;
-    ASSERT_TRUE(ord.RankId(id, &via_id));
-    ASSERT_TRUE(ord_str.Rank(std::string(dict.Text(id)), &via_str));
-    EXPECT_EQ(via_id, via_str) << dict.Text(id);
-    // The string-keyed Rank() on an id-based ordering dispatches through the
-    // dictionary and must agree.
-    ASSERT_TRUE(ord.Rank(std::string(dict.Text(id)), &via_str));
-    EXPECT_EQ(via_id, via_str) << dict.Text(id);
+  // The string oracle: sort (frequency, text) pairs.
+  auto by_string = counts;
+  std::sort(by_string.begin(), by_string.end(),
+            [](const auto& x, const auto& y) {
+              if (x.second != y.second) return x.second < y.second;
+              return x.first < y.first;
+            });
+  for (uint32_t want = 0; want < by_string.size(); ++want) {
+    uint32_t got;
+    ASSERT_TRUE(ord.RankId(id[by_string[want].first], &got));
+    EXPECT_EQ(got, want) << by_string[want].first;
   }
-  // Zero-frequency ids (interned but absent from the indexed column) and
-  // out-of-range ids are unranked.
-  TokenId ghost = dict.Intern("ghost");
-  std::vector<uint64_t> freq2 = freq;
-  freq2.push_back(0);
-  auto ord2 = TokenOrdering::FromIdFrequencies(&dict, freq2);
-  uint32_t dummy;
-  EXPECT_FALSE(ord2.RankId(ghost, &dummy));
-  EXPECT_FALSE(ord2.RankId(999, &dummy));
 }
 
 TEST(TokenOrderingTest, SortIdsMatchesStringSort) {

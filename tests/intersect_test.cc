@@ -306,6 +306,7 @@ struct IntersectJobFixture {
     opt.zipf_s = 1.3;
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
 
     int jac_title = -1;
     for (const auto& f : fs.features()) {
@@ -321,12 +322,8 @@ struct IntersectJobFixture {
     seq.rules = {r};
     seq.selectivity = 0.05;
 
-    IndexBuilder builder(&data.a, &build_cluster);
-    builder.EnsureTokenStores(data.b, fs, &catalog);
+    IndexBuilder builder(&data.a, &fs, &build_cluster);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
-    // The pipeline always binds the interned token stores before applying
-    // rules (StageApplyRules); do the same so features run on the id path.
-    fs.BindTokenStores(catalog.store(&data.a), catalog.store(&data.b));
   }
 
   ApplyResult Run(int threads) {

@@ -1,6 +1,6 @@
 // Property tests pinning the fused matching stage to the eager path:
 // LazyPairFeatures must reproduce ComputeVector bitwise (including NaN
-// missing values, with and without bound token stores), and
+// missing values), and
 // ApplyMatcherFused must predict exactly what GenFvs + ApplyMatcher would.
 #include <algorithm>
 #include <cmath>
@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "blocking/filters.h"
-#include "blocking/index_builder.h"
 #include "core/apply_matcher.h"
 #include "core/gen_fvs.h"
 #include "learn/flat_forest.h"
@@ -92,27 +90,17 @@ void CheckLazyAgainstEager(const GeneratedDataset& d, const FeatureSet& fs) {
   EXPECT_GT(nan_seen, 0u);
 }
 
-TEST(LazyPairFeaturesTest, MatchesComputeVectorUnbound) {
-  auto d = DirtyProducts();
-  auto fs = FeatureSet::Generate(d.a, d.b);
-  CheckLazyAgainstEager(d, fs);
-}
-
 TEST(LazyPairFeaturesTest, MatchesComputeVectorWithBoundTokenStores) {
   auto d = DirtyProducts();
   auto fs = FeatureSet::Generate(d.a, d.b);
-  Cluster cluster(FastCluster());
-  IndexCatalog catalog;
-  IndexBuilder builder(&d.a, &cluster);
-  builder.EnsureTokenStores(d.b, fs, &catalog);
-  fs.BindTokenStores(catalog.store(&d.a), catalog.store(&d.b));
+  fs.BuildTokenStores(d.a, d.b);
   CheckLazyAgainstEager(d, fs);
-  fs.BindTokenStores(nullptr, nullptr);
 }
 
 TEST(LazyPairFeaturesTest, CountsEachPositionOncePerPair) {
   auto d = DirtyProducts(17);
   auto fs = FeatureSet::Generate(d.a, d.b);
+  fs.BuildTokenStores(d.a, d.b);
   const std::vector<int>& ids = fs.all_ids();
   LazyPairFeatures lazy;
   lazy.Begin(&fs, &ids, &d.a, 0, &d.b, 0);
@@ -152,6 +140,7 @@ RandomForest TrainMatcher(const GeneratedDataset& d, const FeatureSet& fs,
 TEST(ApplyMatcherFusedTest, PredictionsIdenticalToEagerPath) {
   auto d = DirtyProducts(29);
   auto fs = FeatureSet::Generate(d.a, d.b);
+  fs.BuildTokenStores(d.a, d.b);
   Cluster cluster(FastCluster());
   Rng rng(5);
   RandomForest matcher = TrainMatcher(d, fs, &cluster, &rng);
@@ -193,6 +182,7 @@ TEST(ApplyMatcherFusedTest, PredictionsIdenticalToEagerPath) {
 TEST(ApplyMatcherFusedTest, DeterministicAcrossThreadCounts) {
   auto d = DirtyProducts(31);
   auto fs = FeatureSet::Generate(d.a, d.b);
+  fs.BuildTokenStores(d.a, d.b);
   Rng rng(7);
   Cluster train_cluster(FastCluster());
   RandomForest matcher = TrainMatcher(d, fs, &train_cluster, &rng);

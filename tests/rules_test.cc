@@ -236,6 +236,7 @@ TEST(FeatureGenTest, ComputeHandlesMissing) {
   ASSERT_TRUE(b.AppendRow({""}).ok());
   ASSERT_TRUE(b.AppendRow({"widget"}).ok());
   auto fs = FeatureSet::Generate(a, b);
+  fs.BuildTokenStores(a, b);
   ASSERT_GT(fs.size(), 0u);
   EXPECT_TRUE(std::isnan(fs.Compute(0, a, 0, b, 0)));
   // Identical values give maximal similarity on every feature.
@@ -251,6 +252,7 @@ TEST(FeatureGenTest, VectorLayoutFollowsIds) {
   opt.size_b = 50;
   auto data = GenerateProducts(opt);
   auto fs = FeatureSet::Generate(data.a, data.b);
+  fs.BuildTokenStores(data.a, data.b);
   auto fv = fs.ComputeVector(fs.blocking_ids(), data.a, 0, data.b, 0);
   ASSERT_EQ(fv.size(), fs.blocking_ids().size());
   for (size_t i = 0; i < fv.size(); ++i) {

@@ -21,6 +21,7 @@ struct SerializeFixture {
     opt.seed = 5;
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
   }
 
   RuleSequence MakeSequence() {

@@ -274,6 +274,115 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSoloRuns) {
   }
 }
 
+// A session's task-load rollup counts only the jobs its own steps ran: two
+// sessions sharing one cluster — on concurrent threads, or one after the
+// other on a reused cluster — each report their solo mr_tasks.
+TEST(SessionManagerTest, SharedClusterSessionsReportTheirSoloTaskCounts) {
+  FalconConfig cfg1 = MatcherOnlyConfig(3);
+  FalconConfig cfg2 = MatcherOnlyConfig(19);
+  auto solo_tasks = [](uint64_t data_seed, const FalconConfig& cfg) {
+    GeneratedDataset data = MatcherOnlyData(data_seed);
+    Cluster cluster{FastCluster(2)};
+    SimulatedCrowd crowd(CrowdConfig(cfg.seed), data.truth.MakeOracle());
+    WorkflowSession session("solo", &data.a, &data.b, &crowd, &cluster, cfg);
+    EXPECT_TRUE(session.RunToCompletion().ok());
+    return session.pipeline().state().out.metrics.mr_tasks;
+  };
+  const size_t solo1 = solo_tasks(5, cfg1);
+  const size_t solo2 = solo_tasks(6, cfg2);
+  ASSERT_GT(solo1, 0u);
+  ASSERT_GT(solo2, 0u);
+
+  for (const bool threaded : {true, false}) {
+    SCOPED_TRACE(threaded ? "concurrent threads" : "reused cluster");
+    GeneratedDataset d1 = MatcherOnlyData(5), d2 = MatcherOnlyData(6);
+    Cluster cluster{FastCluster(2)};
+    SimulatedCrowd c1(CrowdConfig(cfg1.seed), d1.truth.MakeOracle());
+    SimulatedCrowd c2(CrowdConfig(cfg2.seed), d2.truth.MakeOracle());
+    SessionManager manager(&cluster);
+    ASSERT_TRUE(manager.Create("one", &d1.a, &d1.b, &c1, cfg1).ok());
+    if (!threaded) {
+      ASSERT_TRUE(manager.RunAll().ok());
+    }
+    ASSERT_TRUE(manager.Create("two", &d2.a, &d2.b, &c2, cfg2).ok());
+    ASSERT_TRUE((threaded ? manager.RunAllThreaded() : manager.RunAll()).ok());
+    auto tasks = [&](const char* id) {
+      return manager.Get(id)->pipeline().state().out.metrics.mr_tasks;
+    };
+    EXPECT_EQ(tasks("one"), solo1);
+    EXPECT_EQ(tasks("two"), solo2);
+  }
+}
+
+// The token stores are built by exactly one `tokenize-stores` job per run,
+// charged as exactly one `index_build(tokenize)` operator, for both plan
+// templates. Resuming rebuilds them in one job, uncharged — except at the
+// boundary before the first step, where that step still builds them.
+TEST(TokenStoreBuildTest, OneTokenizeJobPerRunAndPerRehydrate) {
+  auto count_jobs = [](const Cluster& cluster) {
+    size_t n = 0;
+    for (const JobStats& job : cluster.job_history()) {
+      n += job.name == "tokenize-stores";
+    }
+    return n;
+  };
+  auto count_ops = [](const RunMetrics& m) {
+    size_t n = 0;
+    for (const OperatorTiming& op : m.operators) {
+      n += op.name == "index_build(tokenize)";
+    }
+    return n;
+  };
+  struct Plan {
+    const char* name;
+    FalconConfig cfg;
+    GeneratedDataset (*make_data)(uint64_t);
+    PipelineStage first;
+  };
+  const Plan plans[] = {
+      {"blocking", BlockingConfig(), BlockingData, PipelineStage::kSamplePairs},
+      {"matcher-only", MatcherOnlyConfig(), MatcherOnlyData,
+       PipelineStage::kGenFvsCand},
+  };
+  for (const Plan& plan : plans) {
+    SCOPED_TRACE(plan.name);
+    GeneratedDataset data = plan.make_data(7);
+    ReferenceRun ref = RunWithCheckpoints(data, FastCluster(1), plan.cfg);
+    EXPECT_EQ(count_ops(ref.result.metrics), 1u);
+    {
+      Cluster cluster{FastCluster(1)};
+      SimulatedCrowd crowd(CrowdConfig(plan.cfg.seed),
+                           data.truth.MakeOracle());
+      FalconPipeline pipeline(&data.a, &data.b, &crowd, &cluster, plan.cfg);
+      ASSERT_TRUE(pipeline.Start().ok());
+      EXPECT_EQ(count_jobs(cluster), 0u) << "Start() must not tokenize";
+      ASSERT_TRUE(pipeline.Run().ok());
+      EXPECT_EQ(count_jobs(cluster), 1u);
+    }
+    for (const auto& [stage, blob] : ref.snapshots) {
+      SCOPED_TRACE(PipelineStageName(stage));
+      GeneratedDataset fresh = plan.make_data(7);
+      Cluster cluster{FastCluster(1)};
+      SimulatedCrowd crowd(CrowdConfig(plan.cfg.seed),
+                           fresh.truth.MakeOracle());
+      auto resumed = WorkflowSession::Resume(blob, &fresh.a, &fresh.b, &crowd,
+                                             &cluster, plan.cfg);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      const bool past_first = stage != PipelineStage::kInit &&
+                              stage != plan.first &&
+                              stage != PipelineStage::kDone;
+      EXPECT_EQ(count_jobs(cluster), past_first ? 1u : 0u);
+      if (stage == plan.first) {
+        ASSERT_TRUE((*resumed)->RunToCompletion().ok());
+        EXPECT_EQ(count_jobs(cluster), 1u);
+        auto r = (*resumed)->TakeResult();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(count_ops(r->metrics), 1u);
+      }
+    }
+  }
+}
+
 // A snapshotted session can also re-enter through the manager.
 TEST(SessionManagerTest, ResumeThroughManager) {
   GeneratedDataset data = MatcherOnlyData(11);

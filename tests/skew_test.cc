@@ -235,6 +235,7 @@ struct SkewFixture {
     opt.zipf_s = 1.4;
     data = GenerateProducts(opt);
     fs = FeatureSet::Generate(data.a, data.b);
+    fs.BuildTokenStores(data.a, data.b);
 
     int jac_title = -1;
     for (const auto& f : fs.features()) {
@@ -250,7 +251,7 @@ struct SkewFixture {
     seq.rules = {r};
     seq.selectivity = 0.05;
 
-    IndexBuilder builder(&data.a, &build_cluster);
+    IndexBuilder builder(&data.a, &fs, &build_cluster);
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
   }
 
@@ -313,14 +314,6 @@ TEST(SkewPartitionerTest, CostWeightedBudgetsAreByteIdentical) {
   // intersection cost; shard boundaries may move but the reduce output is
   // order-preserving, so candidates must not change at any thread count.
   SkewFixture fixture;
-  // Cost tagging needs interned token stores for both tables (the pipeline
-  // always ensures them before applying rules); bind them so the per-value
-  // SkewCost actually varies instead of degenerating to the empty-view case.
-  IndexBuilder store_builder(&fixture.data.a, &fixture.build_cluster);
-  store_builder.EnsureTokenStores(fixture.data.b, fixture.fs,
-                                  &fixture.catalog);
-  fixture.fs.BindTokenStores(fixture.catalog.store(&fixture.data.a),
-                             fixture.catalog.store(&fixture.data.b));
   ApplyResult base =
       fixture.Run(ApplyMethod::kApplyAll, ShufflePartitioner::kSkewAware, 1);
   ASSERT_FALSE(base.pairs.empty());

@@ -1,17 +1,20 @@
 // Unit tests for the token dictionary and per-table token store: interning
-// invariants, CSR view construction (monolithic and incremental), and the
+// invariants, CSR view construction, the two-table TokenStores, and the
 // sorted-unique / missing-value contracts the probe path depends on.
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rules/feature.h"
 #include "table/schema.h"
 #include "table/table.h"
 #include "table/token_store.h"
 #include "text/token_dictionary.h"
 #include "text/tokenize.h"
+#include "workload/generator.h"
 
 namespace falcon {
 namespace {
@@ -100,28 +103,27 @@ TEST(TokenStoreTest, EnsureViewBuildsSortedUniqueSets) {
   }
 }
 
-TEST(TokenStoreTest, IncrementalBuildMatchesMonolithic) {
+TEST(TokenStoreTest, RebuildAssignsIdenticalIds) {
   Table t = FixtureTable();
   TokenDictionary d1, d2;
-  TokenStore inc(&t, &d1);
-  TokenStore mono(&t, &d2);
-  ASSERT_TRUE(inc.StartView(0, Tokenization::kQgram3));
-  for (RowId r = 0; r < t.num_rows(); ++r) inc.AppendRow(r);
-  const TokenSetView& vi = inc.FinishView();
-  const TokenSetView& vm = mono.EnsureView(0, Tokenization::kQgram3);
-  ASSERT_EQ(vi.num_rows(), vm.num_rows());
-  ASSERT_EQ(vi.num_ids(), vm.num_ids());
+  TokenStore first(&t, &d1);
+  TokenStore again(&t, &d2);
+  const TokenSetView& v1 = first.EnsureView(0, Tokenization::kQgram3);
+  const TokenSetView& v2 = again.EnsureView(0, Tokenization::kQgram3);
+  ASSERT_EQ(v1.num_rows(), v2.num_rows());
+  ASSERT_EQ(v1.num_ids(), v2.num_ids());
   for (RowId r = 0; r < t.num_rows(); ++r) {
-    auto a = vi.row(r);
-    auto b = vm.row(r);
+    auto a = v1.row(r);
+    auto b = v2.row(r);
     ASSERT_EQ(a.size(), b.size()) << "row " << r;
     for (size_t i = 0; i < a.size(); ++i) {
-      // Same interleaving of interning -> identical ids in both dicts.
+      // Same interning order -> identical ids in both dicts.
       EXPECT_EQ(a[i], b[i]) << "row " << r << " pos " << i;
     }
   }
-  // Re-starting an existing view is refused.
-  EXPECT_FALSE(inc.StartView(0, Tokenization::kQgram3));
+  // Ensuring a built view again returns it without rebuilding.
+  EXPECT_EQ(&first.EnsureView(0, Tokenization::kQgram3), &v1);
+  EXPECT_EQ(d1.size(), d2.size());
 }
 
 TEST(TokenStoreTest, ViewsAreKeyedByColumnAndTokenization) {
@@ -136,6 +138,71 @@ TEST(TokenStoreTest, ViewsAreKeyedByColumnAndTokenization) {
             store.view(0, Tokenization::kQgram3));
   EXPECT_GT(store.MemoryUsage(), 0u);
   EXPECT_GT(dict.MemoryUsage(), 0u);
+}
+
+// --- TokenStores ---------------------------------------------------------------
+
+TEST(TokenStoresTest, SidesShareOneDictionary) {
+  Table a = FixtureTable();
+  Table b(Schema({{"name", AttrType::kString}}));
+  ASSERT_TRUE(b.AppendRow({"green red"}).ok());
+  TokenStores stores(&a, &b);
+  const TokenStores::Key ka{false, 0, Tokenization::kWord};
+  const TokenStores::Key kb{true, 0, Tokenization::kWord};
+  EXPECT_EQ(stores.view(ka), nullptr);
+  stores.Build(ka);
+  stores.Build(kb);
+  stores.Build(kb);  // idempotent
+  ASSERT_NE(stores.view(ka), nullptr);
+  ASSERT_NE(stores.view(kb), nullptr);
+  EXPECT_EQ(stores.view(ka), stores.a().view(0, Tokenization::kWord));
+  EXPECT_EQ(stores.view(kb), stores.b().view(0, Tokenization::kWord));
+  // {red, blue, green} across both tables: B's tokens reuse A's ids.
+  EXPECT_EQ(stores.dict().size(), 3u);
+  TokenId red, green;
+  ASSERT_TRUE(stores.dict().Find("red", &red));
+  ASSERT_TRUE(stores.dict().Find("green", &green));
+  auto row = stores.view(kb)->row(0);
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_TRUE((row[0] == red && row[1] == green) ||
+              (row[0] == green && row[1] == red));
+  EXPECT_GE(stores.MemoryUsage(),
+            stores.dict().MemoryUsage() + stores.a().MemoryUsage());
+}
+
+// The feature set names exactly the views its set-based features read, plus
+// the 3-gram views of Levenshtein features, on both sides; once handed the
+// stores, every such feature resolves both views and no other feature any.
+TEST(TokenStoresTest, FeatureSetKeysCoverEveryTokenFeature) {
+  WorkloadOptions opt;
+  opt.size_a = 40;
+  opt.size_b = 30;
+  auto data = GenerateProducts(opt);
+  auto fs = FeatureSet::Generate(data.a, data.b);
+  std::set<TokenStores::Key> keys;
+  for (const auto& k : fs.TokenStoreKeys()) keys.insert(k);
+  bool saw_lev = false;
+  for (const Feature& f : fs.features()) {
+    if (f.fn == SimFunction::kLevenshtein) {
+      saw_lev = true;
+      EXPECT_TRUE(keys.count({false, f.col_a, Tokenization::kQgram3}));
+      EXPECT_TRUE(keys.count({true, f.col_b, Tokenization::kQgram3}));
+    } else if (IsSetBased(f.fn)) {
+      EXPECT_TRUE(keys.count({false, f.col_a, f.tok})) << f.name;
+      EXPECT_TRUE(keys.count({true, f.col_b, f.tok})) << f.name;
+    }
+    EXPECT_EQ(fs.token_views(f.id).a, nullptr);  // nothing handed over yet
+  }
+  EXPECT_TRUE(saw_lev);
+  EXPECT_EQ(fs.token_stores(), nullptr);
+
+  fs.BuildTokenStores(data.a, data.b);
+  ASSERT_NE(fs.token_stores(), nullptr);
+  for (const Feature& f : fs.features()) {
+    const bool reads = IsSetBased(f.fn) || f.fn == SimFunction::kLevenshtein;
+    EXPECT_EQ(fs.token_views(f.id).a != nullptr, reads) << f.name;
+    EXPECT_EQ(fs.token_views(f.id).b != nullptr, reads) << f.name;
+  }
 }
 
 }  // namespace

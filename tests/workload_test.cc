@@ -127,6 +127,7 @@ TEST(GeneratorTest, MatchingPairsAreTextuallyCloserThanRandom) {
   opt.size_b = 400;
   auto d = GenerateCitations(opt);
   auto fs = FeatureSet::Generate(d.a, d.b);
+  fs.BuildTokenStores(d.a, d.b);
   // Use jaccard over title as the probe feature.
   int title_feature = -1;
   for (const auto& f : fs.features()) {
