@@ -26,10 +26,19 @@ std::string RandomString(Rng* rng, size_t max_len) {
 
 using StringSimFn = double (*)(std::string_view, std::string_view);
 
-class StringSimProperty : public ::testing::TestWithParam<StringSimFn> {};
+// The function is carried with its name so the parameter prints (and the
+// test is registered) under a stable name rather than a code address.
+struct NamedStringSim {
+  const char* name;
+  StringSimFn fn;
+};
+
+void PrintTo(const NamedStringSim& s, std::ostream* os) { *os << s.name; }
+
+class StringSimProperty : public ::testing::TestWithParam<NamedStringSim> {};
 
 TEST_P(StringSimProperty, SymmetricBoundedAndReflexive) {
-  StringSimFn f = GetParam();
+  StringSimFn f = GetParam().fn;
   Rng rng(101);
   for (int trial = 0; trial < 500; ++trial) {
     std::string a = RandomString(&rng, 12);
@@ -44,11 +53,16 @@ TEST_P(StringSimProperty, SymmetricBoundedAndReflexive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStringSims, StringSimProperty,
-                         ::testing::Values(&LevenshteinSim, &JaroSim,
-                                           &JaroWinklerSim,
-                                           &NeedlemanWunschSim,
-                                           &SmithWatermanSim,
-                                           &SmithWatermanGotohSim));
+                         ::testing::Values(
+                             NamedStringSim{"LevenshteinSim", &LevenshteinSim},
+                             NamedStringSim{"JaroSim", &JaroSim},
+                             NamedStringSim{"JaroWinklerSim", &JaroWinklerSim},
+                             NamedStringSim{"NeedlemanWunschSim",
+                                            &NeedlemanWunschSim},
+                             NamedStringSim{"SmithWatermanSim",
+                                            &SmithWatermanSim},
+                             NamedStringSim{"SmithWatermanGotohSim",
+                                            &SmithWatermanGotohSim}));
 
 TEST(LevenshteinProperty, TriangleInequality) {
   Rng rng(7);

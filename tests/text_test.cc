@@ -100,10 +100,19 @@ TEST(SimilarityTest, CosineBasics) {
 using SetSimFn = double (*)(const std::vector<std::string>&,
                             const std::vector<std::string>&);
 
-class SetSimProperty : public ::testing::TestWithParam<SetSimFn> {};
+// The function is carried with its name so the parameter prints (and the
+// test is registered) under a stable name rather than a code address.
+struct NamedSetSim {
+  const char* name;
+  SetSimFn fn;
+};
+
+void PrintTo(const NamedSetSim& s, std::ostream* os) { *os << s.name; }
+
+class SetSimProperty : public ::testing::TestWithParam<NamedSetSim> {};
 
 TEST_P(SetSimProperty, SymmetricBoundedReflexive) {
-  SetSimFn f = GetParam();
+  SetSimFn f = GetParam().fn;
   std::vector<std::vector<std::string>> sets = {
       Set({"a"}), Set({"a", "b"}), Set({"x", "y", "z"}),
       Set({"a", "b", "c", "d", "e"}), Set({"q"})};
@@ -119,10 +128,11 @@ TEST_P(SetSimProperty, SymmetricBoundedReflexive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSetSims, SetSimProperty,
-                         ::testing::Values(static_cast<SetSimFn>(&JaccardSim),
-                                           static_cast<SetSimFn>(&DiceSim),
-                                           static_cast<SetSimFn>(&OverlapSim),
-                                           static_cast<SetSimFn>(&CosineSim)));
+                         ::testing::Values(
+                             NamedSetSim{"JaccardSim", &JaccardSim},
+                             NamedSetSim{"DiceSim", &DiceSim},
+                             NamedSetSim{"OverlapSim", &OverlapSim},
+                             NamedSetSim{"CosineSim", &CosineSim}));
 
 // --- TokenId-span overloads ------------------------------------------------------
 //
