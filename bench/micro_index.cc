@@ -1,7 +1,7 @@
 // Microbenchmarks: index build and probe paths (google-benchmark). The
 // custom main() first writes BENCH_micro_index.json (prefix-filter probe
-// cost, the scalar-vs-adaptive RuleApplier::Keep A/B and the task-arena
-// index-build alloc comparison), then runs google-benchmark.
+// cost, the scalar-vs-adaptive RuleApplier::Keep A/B and the cold-vs-warm
+// task-arena index-build alloc comparison), then runs google-benchmark.
 // FALCON_BENCH_SMOKE=1 shrinks the dataset so the binary doubles as a ctest
 // smoke test.
 #include <algorithm>
@@ -246,16 +246,14 @@ void WriteComparisonReport() {
            adaptive_us > 0.0 ? scalar_us / adaptive_us : 0.0);
   }
 
-  // Index build (jobs 1-3) from a cold catalog, run twice:
-  // task arenas on (the default) and off (every engine container on the
-  // counted heap allocator). The alloc/* counters in each job's stats are
-  // real heap traffic either way — page acquisitions vs individual
-  // allocations — so their ratio is the arena win per build.
-  auto build_once = [&](bool task_arenas, double* ms, int64_t* alloc_count,
+  // Index build (jobs 1-3) from an empty catalog, run twice on one cluster:
+  // the cold build fills the cluster's task-arena pool, the warm build reuses
+  // its pages. The alloc/* job counters are real heap traffic (arena page
+  // acquisitions), so their ratio is what the warm pool saves per build.
+  Cluster cluster;
+  auto build_once = [&](double* ms, int64_t* alloc_count,
                         int64_t* alloc_bytes) {
-    ClusterConfig cc;
-    cc.task_arenas = task_arenas;
-    Cluster cluster(cc);
+    cluster.ResetAccounting();
     IndexCatalog catalog;
     IndexBuilder builder(&d.a, &fx->fs, &cluster);
     auto tA = Clock::now();
@@ -274,34 +272,33 @@ void WriteComparisonReport() {
       }
     }
   };
-  double arena_ms = 0.0, heap_ms = 0.0;
-  int64_t arena_count = 0, arena_bytes = 0, heap_count = 0, heap_bytes = 0;
-  build_once(true, &arena_ms, &arena_count, &arena_bytes);
-  build_once(false, &heap_ms, &heap_count, &heap_bytes);
-  report.Add("build/full_ms", arena_ms);
-  report.Add("build/heap_ms", heap_ms);
-  report.Add("alloc/count", arena_count);
-  report.Add("alloc/bytes", arena_bytes);
-  report.Add("alloc/count_no_arena", heap_count);
-  report.Add("alloc/bytes_no_arena", heap_bytes);
-  double reduction = arena_count > 0
-                         ? static_cast<double>(heap_count) /
-                               static_cast<double>(arena_count)
-                         : 0.0;
+  double cold_ms = 0.0, warm_ms = 0.0;
+  int64_t cold_count = 0, cold_bytes = 0, warm_count = 0, warm_bytes = 0;
+  build_once(&cold_ms, &cold_count, &cold_bytes);
+  build_once(&warm_ms, &warm_count, &warm_bytes);
+  report.Add("build/cold_ms", cold_ms);
+  report.Add("build/warm_ms", warm_ms);
+  report.Add("alloc/count", cold_count);
+  report.Add("alloc/bytes", cold_bytes);
+  report.Add("alloc/count_warm", warm_count);
+  report.Add("alloc/bytes_warm", warm_bytes);
+  double reduction = warm_count > 0 ? static_cast<double>(cold_count) /
+                                          static_cast<double>(warm_count)
+                                    : static_cast<double>(cold_count);
   report.Add("alloc/reduction", reduction);
   if (!SmokeMode() && reduction < 10.0) {
     fprintf(stderr,
-            "FATAL: task arenas cut engine heap allocs only %.1fx "
-            "(%lld -> %lld), below the 10x floor\n",
-            reduction, static_cast<long long>(heap_count),
-            static_cast<long long>(arena_count));
+            "FATAL: the warm arena pool cut index-build heap allocs only "
+            "%.1fx (%lld -> %lld), below the 10x floor\n",
+            reduction, static_cast<long long>(cold_count),
+            static_cast<long long>(warm_count));
     exit(1);
   }
-  printf("build allocs: arenas %lld (%lld B), heap %lld (%lld B), %.1fx\n",
-         static_cast<long long>(arena_count),
-         static_cast<long long>(arena_bytes),
-         static_cast<long long>(heap_count),
-         static_cast<long long>(heap_bytes), reduction);
+  printf("build allocs: cold %lld (%lld B), warm %lld (%lld B), %.1fx\n",
+         static_cast<long long>(cold_count),
+         static_cast<long long>(cold_bytes),
+         static_cast<long long>(warm_count),
+         static_cast<long long>(warm_bytes), reduction);
 
   std::string path = report.Write();
   printf("wrote %s\n", path.c_str());

@@ -109,9 +109,8 @@ RuleApplier::RuleApplier(const RuleSequence& seq, const FeatureSet* fs,
     std::vector<BoundPredicate> bound;
     bound.reserve(rule.predicates.size());
     for (const auto& p : rule.predicates) {
-      auto [it, inserted] =
-          slot_of.emplace(p.feature_id, static_cast<int>(slot_of.size()));
-      if (inserted) feature_ids_.push_back(p.feature_id);
+      auto it =
+          slot_of.emplace(p.feature_id, static_cast<int>(slot_of.size())).first;
       bound.push_back(
           BoundPredicate{it->second, p.feature_id, p.op, p.value, false, {}});
     }
@@ -245,16 +244,9 @@ struct ShuffleVal {
   int32_t tag = 0;   // operator-specific (b_row, clause id, or -1 marker)
   uint32_t aux = 0;  // operator-specific (k_b)
   uint32_t bytes = 8;
-  /// Estimated reduce cost of this value for the skew planner (1 +
-  /// intersection work of the pair's set-based features); stays 1 unless
-  /// ClusterConfig::skew_cost_weights is on. Accounting only — never
-  /// shipped, never part of the output.
-  uint32_t cost = 1;
 };
 
 size_t EstimateBytes(const ShuffleVal& v) { return v.bytes; }
-
-size_t SkewCost(const ShuffleVal& v) { return v.cost; }
 
 std::vector<TaggedRow> InterleavedInput(size_t na, size_t nb) {
   // Interleave proportionally so every split sees the A:B ratio.
@@ -380,19 +372,6 @@ Result<ApplyResult> RunKeyedByA(
       result.index_profile.skew >= 2.0) {
     jopts.num_splits = static_cast<size_t>(4 * cluster->total_map_slots());
   }
-  // Cost-weighted shuffle (ClusterConfig::skew_cost_weights): tag each
-  // candidate with its estimated reduce cost — 1 + the intersection work of
-  // the sequence's set-based features, sum of min(|a tokens|, |b tokens|) —
-  // so the skew planner budgets shards by work, not raw pair count (the
-  // other features cost roughly the same for every pair anyway).
-  std::vector<FeatureSet::Views> cost_views;
-  if (cluster->config().skew_cost_weights) {
-    for (int id : applier.feature_ids()) {
-      if (IsSetBased(fs.feature(id).fn)) {
-        cost_views.push_back(fs.token_views(id));
-      }
-    }
-  }
   // Reduce partitions run concurrently; the examined-pairs tally is atomic.
   std::atomic<size_t> candidates_examined{0};
   auto input = InterleavedInput(a.num_rows(), b.num_rows());
@@ -405,16 +384,7 @@ Result<ApplyResult> RunKeyedByA(
         }
         CandidateSet cand = probe_fn(prober, b, rec.row);
         auto emit_candidate = [&](RowId ar) {
-          ShuffleVal v{static_cast<int32_t>(rec.row), 0, b_bytes};
-          if (!cost_views.empty()) {
-            size_t c = 1;
-            for (const FeatureSet::Views& cv : cost_views) {
-              c += std::min(cv.a->row(ar).size(), cv.b->row(rec.row).size());
-            }
-            v.cost = static_cast<uint32_t>(std::min<size_t>(
-                c, std::numeric_limits<uint32_t>::max()));
-          }
-          em->Emit(ar, v);
+          em->Emit(ar, ShuffleVal{static_cast<int32_t>(rec.row), 0, b_bytes});
         };
         if (cand.all) {
           for (RowId ar = 0; ar < a.num_rows(); ++ar) emit_candidate(ar);

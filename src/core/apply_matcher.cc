@@ -28,8 +28,6 @@ namespace {
 // std::string construction per increment would dominate small-tree pairs.
 const std::string kFeaturesComputed = "matcher/features_computed";
 const std::string kTreesVoted = "matcher/trees_voted";
-const std::string kAllocCount = "alloc/count";
-const std::string kAllocBytes = "alloc/bytes";
 
 }  // namespace
 
@@ -70,14 +68,6 @@ ApplyMatcherFusedResult ApplyMatcherFused(
   if (auto it = job.stats.counters.find(kTreesVoted);
       it != job.stats.counters.end()) {
     result.work.trees_voted = static_cast<uint64_t>(it->second);
-  }
-  if (auto it = job.stats.counters.find(kAllocCount);
-      it != job.stats.counters.end()) {
-    result.work.alloc_count = static_cast<uint64_t>(it->second);
-  }
-  if (auto it = job.stats.counters.find(kAllocBytes);
-      it != job.stats.counters.end()) {
-    result.work.alloc_bytes = static_cast<uint64_t>(it->second);
   }
   return result;
 }

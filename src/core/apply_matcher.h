@@ -46,10 +46,6 @@ struct FusedMatcherWork {
   size_t vector_width = 0;   ///< full feature-vector layout width
   size_t used_features = 0;  ///< layout positions any tree references
   size_t num_trees = 0;
-  /// Heap allocations the engine charged to the fused job (task arenas make
-  /// this page acquisitions, not per-pair vectors).
-  uint64_t alloc_count = 0;
-  uint64_t alloc_bytes = 0;
 };
 
 struct ApplyMatcherFusedResult {

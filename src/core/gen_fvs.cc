@@ -37,14 +37,6 @@ GenFvsResult GenFvs(const Table& a, const Table& b,
             static_cast<int64_t>(feature_ids.size() * sizeof(double));
       });
   result.time = job.stats.Total();
-  if (auto it = job.stats.counters.find(kAllocCount);
-      it != job.stats.counters.end()) {
-    result.alloc_count = static_cast<uint64_t>(it->second);
-  }
-  if (auto it = job.stats.counters.find(kAllocBytes);
-      it != job.stats.counters.end()) {
-    result.alloc_bytes = static_cast<uint64_t>(it->second);
-  }
   return result;
 }
 

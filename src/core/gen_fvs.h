@@ -15,10 +15,6 @@ namespace falcon {
 struct GenFvsResult {
   std::vector<FeatureVec> fvs;  ///< parallel to the input pairs
   VDuration time;
-  /// Heap allocations this stage performed (the materialized vectors plus
-  /// whatever the engine charged to the job), from JobStats::counters.
-  uint64_t alloc_count = 0;
-  uint64_t alloc_bytes = 0;
 };
 
 /// Computes the features `feature_ids` (positions define the vector layout)

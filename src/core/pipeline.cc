@@ -26,35 +26,6 @@ void RecordMatcherWork(const FusedMatcherWork& work, RunMetrics* m) {
   m->matcher_vector_width = work.vector_width;
   m->matcher_used_features = work.used_features;
   m->matcher_num_trees = work.num_trees;
-  m->alloc_count += work.alloc_count;
-  m->alloc_bytes += work.alloc_bytes;
-}
-
-/// Folds a job's engine-charged allocation counters into the run metrics.
-/// Under task arenas these are page acquisitions; with arenas disabled they
-/// are individual container allocations — either way, real heap traffic.
-void RecordJobAllocs(const JobStats& stats, RunMetrics* m) {
-  if (auto it = stats.counters.find("alloc/count");
-      it != stats.counters.end()) {
-    m->alloc_count += static_cast<uint64_t>(it->second);
-  }
-  if (auto it = stats.counters.find("alloc/bytes");
-      it != stats.counters.end()) {
-    m->alloc_bytes += static_cast<uint64_t>(it->second);
-  }
-  // The intersect/* counters ride the same JobStats plumbing; fold them into
-  // the run-level kernel-activity rollup alongside the allocs.
-  auto fold = [&](const char* key, uint64_t* into) {
-    if (auto it = stats.counters.find(key); it != stats.counters.end()) {
-      *into += static_cast<uint64_t>(it->second);
-    }
-  };
-  fold("intersect/scalar", &m->intersect_scalar);
-  fold("intersect/small", &m->intersect_small);
-  fold("intersect/gallop", &m->intersect_gallop);
-  fold("intersect/simd", &m->intersect_simd);
-  fold("intersect/early_exit", &m->intersect_early_exit);
-  fold("intersect/contains", &m->intersect_contains);
 }
 
 /// Compiles the learned matcher for the fused apply phase and verifies the
@@ -213,9 +184,9 @@ Status FalconPipeline::Step() {
   if (!started()) {
     return Status::Internal("Step() before Start()");
   }
-  // Only this pipeline's jobs feed its task-load rollup, even when sibling
+  // Only this pipeline's jobs feed its job diagnostics, even when sibling
   // sessions share the cluster.
-  ScopedJobSink sink([this](const JobStats& job) { FoldTaskLoad(job); });
+  ScopedJobSink sink([this](const JobStats& job) { FoldJob(job); });
   if (features_.token_stores() == nullptr && !done()) {
     VDuration dur = TokenizeStores();
     AddMachine("index_build(tokenize)", dur, dur);
@@ -262,8 +233,21 @@ VDuration FalconPipeline::MaskRun(VDuration d) {
   return d - used;
 }
 
-void FalconPipeline::FoldTaskLoad(const JobStats& job) {
+void FalconPipeline::FoldJob(const JobStats& job) {
   RunMetrics& m = state_.out.metrics;
+  auto fold = [&](const char* key, uint64_t* into) {
+    if (auto it = job.counters.find(key); it != job.counters.end()) {
+      *into += static_cast<uint64_t>(it->second);
+    }
+  };
+  fold("alloc/count", &m.alloc_count);
+  fold("alloc/bytes", &m.alloc_bytes);
+  fold("intersect/scalar", &m.intersect_scalar);
+  fold("intersect/small", &m.intersect_small);
+  fold("intersect/gallop", &m.intersect_gallop);
+  fold("intersect/simd", &m.intersect_simd);
+  fold("intersect/early_exit", &m.intersect_early_exit);
+  fold("intersect/contains", &m.intersect_contains);
   for (const TaskLoadStats* load : {&job.map_load, &job.reduce_load}) {
     if (load->tasks == 0) continue;
     m.mr_tasks += load->tasks;
@@ -314,8 +298,6 @@ Status FalconPipeline::StageGenFvsSample() {
                              "gen_fvs(S)");
   state_.sample_fvs = std::move(sfvs.fvs);
   state_.sample_fvs_ready = true;
-  state_.out.metrics.alloc_count += sfvs.alloc_count;
-  state_.out.metrics.alloc_bytes += sfvs.alloc_bytes;
   AddMachine("gen_fvs", sfvs.time, sfvs.time);
   state_.next = PipelineStage::kBlockerAl;
   return Status::OK();
@@ -540,7 +522,6 @@ Status FalconPipeline::StageApplyRules() {
     apply_unmasked = filtered.time;
     m.spec_rule_reused = true;
     m.apply_method = preferred;
-    RecordJobAllocs(filtered.stats, &m);
   } else if (in_flight != nullptr && in_flight_selected) {
     // Algorithm 2, lines 12-27: steer the in-flight job.
     const JobStats& stats = in_flight->result.main_job;
@@ -571,8 +552,6 @@ Status FalconPipeline::StageApplyRules() {
       apply_unmasked = Max(in_flight->remaining, zy.time) + zx.time;
       m.spec_rule_reused = true;
       m.apply_method = preferred;
-      RecordJobAllocs(zx.stats, &m);
-      RecordJobAllocs(zy.stats, &m);
     } else if (greedy_ok) {
       // Map phase + apply_greedy: let the job finish; its reducers evaluate
       // the full sequence.
@@ -584,7 +563,6 @@ Status FalconPipeline::StageApplyRules() {
       apply_unmasked = Max(in_flight->remaining, filtered.time);
       m.spec_rule_reused = true;
       m.apply_method = ApplyMethod::kApplyGreedy;
-      RecordJobAllocs(filtered.stats, &m);
     } else {
       // Kill the job; start fresh.
       ApplyMethod used = preferred;
@@ -607,7 +585,6 @@ Status FalconPipeline::StageApplyRules() {
     apply_raw = applied.time;
     apply_unmasked = applied.time;
     m.apply_method = used;
-    RecordJobAllocs(applied.main_job, &m);
   }
   AddMachine("apply_block_rules", apply_raw, apply_unmasked);
   // Canonical order: which Algorithm-2 reuse path ran depends on measured
@@ -640,8 +617,6 @@ Status FalconPipeline::StageGenFvsCand() {
                              features_.all_ids(), cluster_, "gen_fvs(C)");
   state_.cand_fvs = std::move(cfvs.fvs);
   state_.cand_fvs_ready = true;
-  out.metrics.alloc_count += cfvs.alloc_count;
-  out.metrics.alloc_bytes += cfvs.alloc_bytes;
   AddMachine("gen_fvs(C)", cfvs.time, cfvs.time);
   state_.next = PipelineStage::kMatcherAl;
   return Status::OK();
@@ -805,8 +780,6 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
                                  "gen_fvs(S,rehydrate)");
       state_.sample_fvs = std::move(sfvs.fvs);
       state_.sample_fvs_ready = true;
-      state_.out.metrics.alloc_count += sfvs.alloc_count;
-      state_.out.metrics.alloc_bytes += sfvs.alloc_bytes;
       total += sfvs.time;
     }
     if (next == PipelineStage::kMatcherAl && !state_.cand_fvs_ready) {
@@ -815,8 +788,6 @@ Status FalconPipeline::Rehydrate(VDuration* rebuild_time) {
                                  "gen_fvs(C,rehydrate)");
       state_.cand_fvs = std::move(cfvs.fvs);
       state_.cand_fvs_ready = true;
-      state_.out.metrics.alloc_count += cfvs.alloc_count;
-      state_.out.metrics.alloc_bytes += cfvs.alloc_bytes;
       total += cfvs.time;
     }
 

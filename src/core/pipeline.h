@@ -75,13 +75,11 @@ struct RunMetrics {
   size_t matcher_used_features = 0;  ///< features referenced by any tree
   size_t matcher_num_trees = 0;
 
-  /// Real heap allocations the instrumented hot-path stages performed
-  /// (blocking apply, gen_fvs, fused matcher): arena page acquisitions under
-  /// task arenas, individual container allocations otherwise, plus the
-  /// per-pair vectors gen_fvs materializes. Diagnostics only — the split
-  /// of allocations across tasks depends on scheduling, so these are not
-  /// part of the determinism contract and are never serialized (snapshots
-  /// rebuild them on rehydrate like any other machine-side metric).
+  /// Real heap allocations across every MapReduce job of the run: the task
+  /// arena page acquisitions the engine charges to each job, plus the
+  /// per-pair vectors gen_fvs materializes. Diagnostics only — pool warmth
+  /// and the split of allocations across tasks depend on scheduling, so
+  /// these are not part of the determinism contract and are never serialized.
   uint64_t alloc_count = 0;
   uint64_t alloc_bytes = 0;
 
@@ -99,10 +97,10 @@ struct RunMetrics {
   uint64_t intersect_early_exit = 0;
   uint64_t intersect_contains = 0;
 
-  /// Per-task load rollup over the MapReduce jobs this run's steps ran —
-  /// not sibling sessions' jobs on a shared cluster, nor earlier runs' on a
-  /// reused one (resumed runs see only this process's jobs, like the alloc
-  /// counters; Rehydrate's rebuild jobs are not counted). The straggler
+  /// The counters above and this per-task load rollup cover the MapReduce
+  /// jobs this run's steps ran — not sibling sessions' jobs on a shared
+  /// cluster, nor earlier runs' on a reused one (resumed runs see only this
+  /// process's jobs; Rehydrate's rebuild jobs are not counted). The straggler
   /// ratio is the worst single phase's max/mean task vtime — the skew
   /// headline the skew-aware partitioner exists to push toward 1.0.
   /// Diagnostics only, never serialized.
@@ -293,8 +291,9 @@ class FalconPipeline {
   void AddMachine(const std::string& name, VDuration raw, VDuration unmasked);
   /// MaskBank withdrawal: charges a maskable task, returns its unmasked part.
   VDuration MaskRun(VDuration d);
-  /// Folds one of this pipeline's jobs into the task-load rollup.
-  void FoldTaskLoad(const JobStats& job);
+  /// Folds one of this pipeline's jobs into the run's job diagnostics: the
+  /// alloc/* and intersect/* counters and the task-load rollup.
+  void FoldJob(const JobStats& job);
   /// Builds the token stores in one `tokenize-stores` job and hands them to
   /// the feature set; returns the job's virtual time.
   VDuration TokenizeStores();

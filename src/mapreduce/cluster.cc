@@ -1,8 +1,6 @@
 #include "mapreduce/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 
 #include "common/thread_pool.h"
@@ -39,7 +37,6 @@ ThreadPool* Cluster::pool() {
 }
 
 ArenaPool* Cluster::arena_pool() {
-  if (!config_.task_arenas) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (arena_pool_ == nullptr) arena_pool_ = std::make_unique<ArenaPool>();
   return arena_pool_.get();
@@ -99,23 +96,13 @@ TaskLoadStats Cluster::ComputeTaskLoad(
             config_.task_overhead.seconds;
   }
   std::sort(vt.begin(), vt.end());
-  // Diagnostic escape hatch: dump the full sorted per-task vtime
-  // distribution (not just the rollup) when chasing a load-imbalance
-  // report. One line per job phase.
-  if (std::getenv("FALCON_DUMP_TASK_LOAD") != nullptr) {
-    std::fprintf(stderr, "[task-load n=%zu]", vt.size());
-    for (double t : vt) std::fprintf(stderr, " %.4f", t);
-    std::fprintf(stderr, "\n");
-  }
   double sum = 0.0;
   for (double t : vt) sum += t;
   load.max_seconds = vt.back();
   load.mean_seconds = sum / static_cast<double>(vt.size());
-  // Nearest-rank p99 (== max below 100 tasks).
-  const size_t rank =
-      std::min(vt.size() - 1,
-               static_cast<size_t>(0.99 * static_cast<double>(vt.size())));
-  load.p99_seconds = vt[rank];
+  // Nearest-rank p99: the ceil(0.99 n)-th smallest value (== max below 100
+  // tasks), ranked in integers so rounding cannot shift it.
+  load.p99_seconds = vt[(99 * vt.size() + 99) / 100 - 1];
   load.straggler_ratio =
       (vt.size() > 1 && load.mean_seconds > 0.0)
           ? load.max_seconds / load.mean_seconds

@@ -8,7 +8,9 @@
 // execution across the configured nodes/slots, per-task scheduling overhead,
 // job startup cost, and shuffle bandwidth. Cluster-size scaling experiments
 // (Section 11.4) and the crowd-time masking scheduler (Section 10.2) consume
-// these virtual durations.
+// these virtual durations. The cluster also owns the local execution
+// resources every job shares: the thread pool that runs tasks and the pool
+// of task arenas their buffers live in (mapreduce/job.h).
 #ifndef FALCON_MAPREDUCE_CLUSTER_H_
 #define FALCON_MAPREDUCE_CLUSTER_H_
 
@@ -77,22 +79,11 @@ struct ClusterConfig {
   /// measured with thread CPU time). 0 = hardware_concurrency, 1 = the exact
   /// legacy serial path (no thread pool is created).
   int local_threads = 0;
-  /// Back per-task buffers (emitter pairs, shuffle buckets, split outputs)
-  /// with pooled bump arenas that are reset — not freed — at task end.
-  /// false selects the legacy counted-heap path; outputs are byte-identical
-  /// either way (benches A/B the two via the alloc/* job counters).
-  bool task_arenas = true;
   /// Shuffle partitioning strategy; see ShufflePartitioner.
   ShufflePartitioner partitioner = ShufflePartitioner::kStableHash;
   /// Pair budget per reduce task for hot-block splitting under kSkewAware.
   /// 0 derives it from the stage's total weight (AutoPairBudget).
   size_t skew_pair_budget = 0;
-  /// Weigh skew-plan shards by estimated per-value reduce COST (each value's
-  /// SkewCost — e.g. the pair's intersection work, see apply.cc) instead of
-  /// raw value count. Splitting still cuts value ranges, so outputs are
-  /// byte-identical either way; only the shard boundaries and bin packing
-  /// move. Off by default (legacy pair-count budgets).
-  bool skew_cost_weights = false;
 };
 
 /// Per-task load distribution of one job phase, on the virtual clock
@@ -218,8 +209,8 @@ class Cluster {
   /// when local_threads() == 1 (the legacy serial path runs inline).
   ThreadPool* pool();
 
-  /// Lazily created pool of reusable task arenas, or nullptr when
-  /// config().task_arenas is false (legacy counted-heap buffers).
+  /// Lazily created pool of reusable task arenas that back every map/reduce
+  /// task's buffers (never nullptr).
   ArenaPool* arena_pool();
 
  private:

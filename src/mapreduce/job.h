@@ -22,18 +22,17 @@
 //   each other's measured durations and the virtual makespan matches the
 //   serial baseline within measurement noise.
 //
-// Memory discipline (common/arena.h): every map/reduce task leases a bump
-// arena from the cluster's ArenaPool for its buffers — emitter pairs
-// (pre-sized from the split-size hint), shuffle bucket vectors, split and
-// reduce outputs — and the arena is reset, not freed, at task end, so a warm
-// pool serves whole jobs without heap traffic. Per-task heap allocations
-// (arena page acquisitions, or every buffer allocation on the legacy
-// ClusterConfig::task_arenas=false path) are reported through the normal
-// counter plumbing as "alloc/count"/"alloc/bytes". These two counters
-// measure real memory-system behavior — pool warmth, thread scheduling — so
-// unlike user counters they are not required to be identical between serial
-// and parallel runs; job outputs still are. Worker-thread scratch
-// (ThreadScratch) is likewise reset after every task.
+// Memory discipline (common/arena.h): every job phase goes through one task
+// runner (internal::TaskRunner), which leases a bump arena per task from the
+// cluster's ArenaPool for its buffers — emitter pairs (pre-sized from the
+// split size), shuffle bucket vectors, split and reduce outputs — and returns
+// it reset, not freed, after the phase, so a warm pool serves whole jobs
+// without heap traffic. The pages each task's arena acquires are reported
+// through the normal counter plumbing as "alloc/count"/"alloc/bytes". These
+// two counters measure real memory-system behavior — pool warmth, thread
+// scheduling — so unlike user counters they are not required to be identical
+// between serial and parallel runs; job outputs still are. Worker-thread
+// scratch (ThreadScratch) is likewise reset after every task.
 #ifndef FALCON_MAPREDUCE_JOB_H_
 #define FALCON_MAPREDUCE_JOB_H_
 
@@ -79,24 +78,11 @@ size_t EstimateBytes(const std::vector<T>& v) {
   return bytes;
 }
 
-// --- skew-plan cost estimation -----------------------------------------------
-
-/// Estimated reduce cost of one shuffle value for the cost-weighted skew
-/// planner (ClusterConfig::skew_cost_weights). Every value costs 1 by
-/// default — equivalent to the legacy pair-count budgets. Value types that
-/// know their reduce cost (e.g. apply.cc's ShuffleVal carrying the pair's
-/// intersection work) override this via ADL, like EstimateBytes above.
-template <typename V>
-inline size_t SkewCost(const V&) {
-  return 1;
-}
-
 // --- task-local containers ---------------------------------------------------
 
-/// Output buffer of one map/reduce task: arena-backed when the engine leases
-/// task arenas, counted heap otherwise. Map and reduce functions append to
-/// these; default-constructed instances (tests, direct use) are plain heap
-/// vectors.
+/// Output buffer of one map/reduce task, backed by the task's leased arena.
+/// Map and reduce functions append to these; default-constructed instances
+/// (tests, direct use) are plain heap vectors.
 template <typename T>
 using TaskVector = ArenaVector<T>;
 
@@ -218,6 +204,15 @@ inline std::vector<std::pair<size_t, size_t>> MakeSplits(size_t n,
   return splits;
 }
 
+/// Input splits of a job over `n` records: opts.num_splits, or 2 tasks per
+/// map slot by default.
+inline std::vector<std::pair<size_t, size_t>> JobSplits(
+    const Cluster& cluster, size_t n, const JobOptions& opts) {
+  return MakeSplits(n, opts.num_splits > 0
+                           ? opts.num_splits
+                           : static_cast<size_t>(2 * cluster.total_map_slots()));
+}
+
 /// Stable shuffle hash: identical partition assignment on every platform and
 /// standard library, unlike std::hash.
 template <typename K>
@@ -240,59 +235,74 @@ uint64_t StableKeyHash(const std::pair<A, B>& p) {
   return Fnv1a(h, sizeof(h));
 }
 
-/// Runs fn(0..n-1) on the cluster pool, or inline in index order when the
-/// job opted out of parallelism, the task count is trivial, or the cluster
-/// resolves to a single local thread. The executing thread's scratch arena
-/// is reset after every task (per-task reset discipline: scratch capacity
-/// never outlives the task that grew it by more than the retention bound).
-inline void RunTasks(Cluster* cluster, bool serial, size_t n,
-                     const std::function<void(size_t)>& fn) {
-  const std::function<void(size_t)> task = [&fn](size_t i) {
-    fn(i);
-    ThreadScratch().Reset();
-  };
-  ThreadPool* pool = (serial || n <= 1) ? nullptr : cluster->pool();
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
-  pool->ParallelFor(n, task);
-}
-
-/// Per-task arena leases for one job phase. Acquires `n` arenas from the
-/// cluster's pool (all nullptr when task arenas are disabled) and returns
-/// them — reset, pages retained — on ReleaseAll/destruction. Leasing happens
+/// The one task runner behind every job phase: map splits, the shuffle
+/// merge, reduce tasks. Construction leases one arena per task from the
+/// cluster's pool and records its page counters; callers build each task's
+/// buffers on arena(t), then Run() executes the tasks and charges the pages
+/// each arena acquired since the lease to "alloc/count"/"alloc/bytes".
+/// Release() (or destruction) returns the arenas to the pool — reset, pages
+/// retained — so everything allocated from them must be destroyed first:
+/// declare the runner before the buffers that draw from it. Leasing happens
 /// on the coordinating thread; each leased arena is then touched by exactly
 /// one task.
-class ArenaLease {
+class TaskRunner {
  public:
-  ArenaLease(Cluster* cluster, size_t n)
-      : pool_(cluster->arena_pool()), arenas_(n, nullptr) {
-    if (pool_ != nullptr) {
-      for (auto& arena : arenas_) arena = pool_->Acquire();
+  TaskRunner(Cluster* cluster, size_t n)
+      : cluster_(cluster), pool_(cluster->arena_pool()) {
+    arenas_.reserve(n);
+    base_.reserve(n);
+    for (size_t t = 0; t < n; ++t) {
+      Arena* arena = pool_->Acquire();
+      arenas_.push_back(arena);
+      base_.emplace_back(arena->total_pages_acquired(),
+                         arena->total_page_bytes_acquired());
     }
   }
-  ~ArenaLease() { ReleaseAll(); }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
+  ~TaskRunner() { Release(); }
+  TaskRunner(const TaskRunner&) = delete;
+  TaskRunner& operator=(const TaskRunner&) = delete;
 
-  Arena* operator[](size_t i) const { return arenas_[i]; }
-  bool enabled() const { return pool_ != nullptr; }
+  Arena* arena(size_t t) const { return arenas_[t]; }
 
-  /// Callers must destroy (or finish reading) everything allocated from the
-  /// leased arenas before releasing them back to the pool.
-  void ReleaseAll() {
-    if (pool_ != nullptr) {
-      for (auto& arena : arenas_) {
-        pool_->Release(arena);
-        arena = nullptr;
-      }
+  /// Runs task(0..n-1) once each — on the cluster pool, or inline in index
+  /// order when `serial` is set, the task count is trivial, or the cluster
+  /// resolves to a single local thread — and returns each task's measured
+  /// seconds. The executing thread's scratch arena is reset after every task
+  /// (scratch capacity never outlives the task that grew it by more than the
+  /// retention bound). Adds the phase's page acquisitions to `counters`.
+  std::vector<double> Run(bool serial, const std::function<void(size_t)>& task,
+                          Counters* counters) {
+    const size_t n = arenas_.size();
+    std::vector<double> seconds(n);
+    const std::function<void(size_t)> measured = [&](size_t t) {
+      seconds[t] = MeasureSeconds([&] { task(t); });
+      ThreadScratch().Reset();
+    };
+    ThreadPool* pool = (serial || n <= 1) ? nullptr : cluster_->pool();
+    if (pool == nullptr) {
+      for (size_t t = 0; t < n; ++t) measured(t);
+    } else {
+      pool->ParallelFor(n, measured);
     }
+    for (size_t t = 0; t < n; ++t) {
+      (*counters)["alloc/count"] += static_cast<int64_t>(
+          arenas_[t]->total_pages_acquired() - base_[t].first);
+      (*counters)["alloc/bytes"] += static_cast<int64_t>(
+          arenas_[t]->total_page_bytes_acquired() - base_[t].second);
+    }
+    return seconds;
+  }
+
+  void Release() {
+    for (Arena* arena : arenas_) pool_->Release(arena);
+    arenas_.clear();
   }
 
  private:
+  Cluster* cluster_;
   ArenaPool* pool_;
   std::vector<Arena*> arenas_;
+  std::vector<std::pair<uint64_t, uint64_t>> base_;  ///< (pages, bytes)
 };
 
 /// Folds the intersection-kernel activity since `base` into the job's
@@ -312,22 +322,6 @@ inline void AddIntersectDelta(const IntersectCounts& base, Counters* c) {
   if (d.contains > 0) {
     (*c)["intersect/contains"] += static_cast<int64_t>(d.contains);
   }
-}
-
-/// Heap allocations attributable to task `t`: page acquisitions of its
-/// leased arena, or the counted allocator calls on the legacy heap path.
-inline std::pair<int64_t, int64_t> TaskHeapAllocs(const ArenaLease& lease,
-                                                  size_t t,
-                                                  uint64_t base_pages,
-                                                  uint64_t base_bytes,
-                                                  const AllocStats& stats) {
-  if (lease.enabled()) {
-    return {static_cast<int64_t>(lease[t]->total_pages_acquired() -
-                                 base_pages),
-            static_cast<int64_t>(lease[t]->total_page_bytes_acquired() -
-                                 base_bytes)};
-  }
-  return {static_cast<int64_t>(stats.count), static_cast<int64_t>(stats.bytes)};
 }
 
 }  // namespace internal
@@ -355,110 +349,76 @@ JobOutput<OutT> RunMapReduce(
   stats.input_records = input.size();
   const IntersectCounts isect_base = IntersectCountsSnapshot();
 
-  const size_t num_splits =
-      opts.num_splits > 0
-          ? opts.num_splits
-          : static_cast<size_t>(2 * cluster->total_map_slots());
   const size_t num_reducers =
       opts.num_reducers > 0
           ? opts.num_reducers
           : static_cast<size_t>(cluster->total_reduce_slots());
-
-  auto splits = internal::MakeSplits(input.size(), num_splits);
+  const auto splits = internal::JobSplits(*cluster, input.size(), opts);
   stats.num_map_tasks = splits.size();
 
   // --- map phase ---
-  // Each split writes only its own Emitter and seconds slot, so tasks can run
-  // on any thread in any order; everything order-sensitive happens in the
-  // split-index-order merge below. Each emitter's pair buffer draws from the
-  // split's leased arena (or counted heap) and is pre-sized to the split.
-  internal::ArenaLease map_arenas(cluster, splits.size());
-  std::vector<AllocStats> map_allocs(splits.size());
-  std::vector<uint64_t> base_pages(splits.size(), 0);
-  std::vector<uint64_t> base_page_bytes(splits.size(), 0);
+  // Each split writes only its own Emitter, so tasks can run on any thread in
+  // any order; everything order-sensitive happens in the split-index-order
+  // merge below. Each emitter's pair buffer draws from the split's arena and
+  // is pre-sized to the split.
+  internal::TaskRunner map_tasks(cluster, splits.size());
   std::vector<Emitter<K, V>> emitters;
   emitters.reserve(splits.size());
   for (size_t t = 0; t < splits.size(); ++t) {
-    Arena* arena = map_arenas[t];
-    if (arena != nullptr) {
-      base_pages[t] = arena->total_pages_acquired();
-      base_page_bytes[t] = arena->total_page_bytes_acquired();
-    }
     emitters.emplace_back(
-        ArenaAllocator<std::pair<K, V>>(arena,
-                                        arena == nullptr ? &map_allocs[t]
-                                                         : nullptr),
+        ArenaAllocator<std::pair<K, V>>(map_tasks.arena(t)),
         splits[t].second - splits[t].first);
   }
-  std::vector<double> map_task_seconds(splits.size());
-  internal::RunTasks(cluster, opts.serial, splits.size(), [&](size_t t) {
-    const auto [begin, end] = splits[t];
-    Emitter<K, V>* emitter = &emitters[t];
-    map_task_seconds[t] = internal::MeasureSeconds([&] {
-      for (size_t i = begin; i < end; ++i) map_fn(input[i], emitter);
-    });
-    map_task_seconds[t] += opts.map_setup_seconds;
-  });
-  for (size_t t = 0; t < splits.size(); ++t) {
-    const auto [n, b] = internal::TaskHeapAllocs(
-        map_arenas, t, base_pages[t], base_page_bytes[t], map_allocs[t]);
-    emitters[t].Increment("alloc/count", n);
-    emitters[t].Increment("alloc/bytes", b);
-  }
+  std::vector<double> map_task_seconds = map_tasks.Run(
+      opts.serial,
+      [&](size_t t) {
+        for (size_t i = splits[t].first; i < splits[t].second; ++i) {
+          map_fn(input[i], &emitters[t]);
+        }
+      },
+      &stats.counters);
+  for (double& seconds : map_task_seconds) seconds += opts.map_setup_seconds;
 
   // Merge in split-index order: counters, byte counts, and the shuffle all
-  // see the same sequence a serial run produces. Bucket vectors live in a
-  // per-job shuffle arena that outlives the reduce phase.
-  ArenaPool* arena_pool = cluster->arena_pool();
-  Arena* shuffle_arena = arena_pool != nullptr ? arena_pool->Acquire() : nullptr;
-  AllocStats shuffle_allocs;
-  const uint64_t shuffle_base_pages =
-      shuffle_arena != nullptr ? shuffle_arena->total_pages_acquired() : 0;
-  const uint64_t shuffle_base_bytes =
-      shuffle_arena != nullptr ? shuffle_arena->total_page_bytes_acquired() : 0;
-  const ArenaAllocator<V> bucket_alloc(
-      shuffle_arena, shuffle_arena == nullptr ? &shuffle_allocs : nullptr);
+  // see the same sequence a serial run produces. Bucket vectors live on the
+  // arena of a one-task shuffle runner that outlives the reduce phase.
+  internal::TaskRunner shuffle(cluster, 1);
   std::vector<std::unordered_map<K, ValueList<V>>> partitions(num_reducers);
-  size_t intermediate_records = 0;
-  size_t intermediate_bytes = 0;
-  for (auto& emitter : emitters) {
-    intermediate_records += emitter.pairs().size();
-    intermediate_bytes += emitter.bytes();
-    for (auto& [counter, v] : emitter.counters()) stats.counters[counter] += v;
-    // Partition the emitted pairs by stable key hash (the shuffle).
-    for (auto& [k, v] : emitter.pairs()) {
-      size_t p = internal::StableKeyHash(k) % num_reducers;
-      auto [it, inserted] = partitions[p].try_emplace(std::move(k),
-                                                      bucket_alloc);
-      it->second.push_back(std::move(v));
-    }
-  }
-  if (shuffle_arena != nullptr) {
-    stats.counters["alloc/count"] += static_cast<int64_t>(
-        shuffle_arena->total_pages_acquired() - shuffle_base_pages);
-    stats.counters["alloc/bytes"] += static_cast<int64_t>(
-        shuffle_arena->total_page_bytes_acquired() - shuffle_base_bytes);
-  } else {
-    stats.counters["alloc/count"] += static_cast<int64_t>(shuffle_allocs.count);
-    stats.counters["alloc/bytes"] += static_cast<int64_t>(shuffle_allocs.bytes);
-  }
+  shuffle.Run(
+      /*serial=*/true,
+      [&](size_t) {
+        const ArenaAllocator<V> bucket_alloc(shuffle.arena(0));
+        for (auto& emitter : emitters) {
+          stats.intermediate_records += emitter.pairs().size();
+          stats.intermediate_bytes += emitter.bytes();
+          for (auto& [counter, v] : emitter.counters()) {
+            stats.counters[counter] += v;
+          }
+          // Partition the emitted pairs by stable key hash (the shuffle).
+          for (auto& [k, v] : emitter.pairs()) {
+            size_t p = internal::StableKeyHash(k) % num_reducers;
+            auto [it, inserted] =
+                partitions[p].try_emplace(std::move(k), bucket_alloc);
+            it->second.push_back(std::move(v));
+          }
+        }
+      },
+      &stats.counters);
   // Map buffers are fully consumed; destroy them before their arenas return
   // to the pool (use-after-reset discipline).
   emitters.clear();
-  map_arenas.ReleaseAll();
-  stats.intermediate_records = intermediate_records;
-  stats.intermediate_bytes = intermediate_bytes;
+  map_tasks.Release();
   stats.map_time = cluster->ScheduleMakespan(map_task_seconds,
                                              cluster->total_map_slots());
   stats.map_load = cluster->ComputeTaskLoad(map_task_seconds);
-  stats.shuffle_time = cluster->ShuffleTime(intermediate_bytes);
+  stats.shuffle_time = cluster->ShuffleTime(stats.intermediate_bytes);
 
   // --- reduce phase ---
   // Hash path: non-empty partitions become reduce tasks; each writes a
-  // private output vector on its leased arena, concatenated in partition
-  // order afterwards. Skew-aware path: the same blocks are re-planned into
-  // budget-capped shards packed largest-first onto bins (see below); output
-  // bytes are identical either way.
+  // private output vector, concatenated in partition order afterwards.
+  // Skew-aware path: the same blocks are re-planned into budget-capped shards
+  // packed largest-first onto bins (see below); output bytes are identical
+  // either way.
   std::vector<double> reduce_task_seconds;
   const bool skew_aware =
       cluster->config().partitioner == ShufflePartitioner::kSkewAware &&
@@ -469,46 +429,26 @@ JobOutput<OutT> RunMapReduce(
     for (size_t p = 0; p < partitions.size(); ++p) {
       if (!partitions[p].empty()) active.push_back(p);
     }
-    internal::ArenaLease reduce_arenas(cluster, active.size());
-    std::vector<AllocStats> reduce_allocs(active.size());
-    std::vector<TaskVector<OutT>> reduce_outputs;
-    reduce_outputs.reserve(active.size());
-    std::vector<uint64_t> rbase_pages(active.size(), 0);
-    std::vector<uint64_t> rbase_page_bytes(active.size(), 0);
+    internal::TaskRunner reduce_tasks(cluster, active.size());
+    std::vector<TaskVector<OutT>> outputs;
+    outputs.reserve(active.size());
     for (size_t t = 0; t < active.size(); ++t) {
-      Arena* arena = reduce_arenas[t];
-      if (arena != nullptr) {
-        rbase_pages[t] = arena->total_pages_acquired();
-        rbase_page_bytes[t] = arena->total_page_bytes_acquired();
-      }
-      reduce_outputs.emplace_back(ArenaAllocator<OutT>(
-          arena, arena == nullptr ? &reduce_allocs[t] : nullptr));
+      outputs.emplace_back(ArenaAllocator<OutT>(reduce_tasks.arena(t)));
     }
-    reduce_task_seconds.assign(active.size(), 0.0);
-    internal::RunTasks(cluster, opts.serial, active.size(), [&](size_t t) {
-      auto& groups = partitions[active[t]];
-      TaskVector<OutT>* out = &reduce_outputs[t];
-      reduce_task_seconds[t] = internal::MeasureSeconds([&] {
-        for (auto& [key, values] : groups) reduce_fn(key, values, out);
-      });
-    });
-    for (size_t t = 0; t < active.size(); ++t) {
-      const auto [n, b] = internal::TaskHeapAllocs(
-          reduce_arenas, t, rbase_pages[t], rbase_page_bytes[t],
-          reduce_allocs[t]);
-      stats.counters["alloc/count"] += n;
-      stats.counters["alloc/bytes"] += b;
-    }
-    for (auto& out : reduce_outputs) {
+    reduce_task_seconds = reduce_tasks.Run(
+        opts.serial,
+        [&](size_t t) {
+          for (auto& [key, values] : partitions[active[t]]) {
+            reduce_fn(key, values, &outputs[t]);
+          }
+        },
+        &stats.counters);
+    for (auto& out : outputs) {
       result.output.insert(result.output.end(),
                            std::make_move_iterator(out.begin()),
                            std::make_move_iterator(out.end()));
     }
     stats.num_reduce_tasks = active.size();
-
-    // Destroy everything arena-resident before the leases end.
-    reduce_outputs.clear();
-    reduce_arenas.ReleaseAll();
   } else {
     // Skew-aware reduce. Blocks are enumerated in the exact order the hash
     // path reduces them — partition index, then that partition's iteration
@@ -523,21 +463,14 @@ JobOutput<OutT> RunMapReduce(
     };
     std::vector<BlockRef> blocks;
     std::vector<size_t> weights;
-    std::vector<size_t> costs;
-    const bool cost_weighted = cluster->config().skew_cost_weights;
     for (auto& groups : partitions) {
       for (auto& [key, values] : groups) {
         blocks.push_back(BlockRef{&key, &values});
         weights.push_back(values.size());
-        if (cost_weighted) {
-          size_t c = 0;
-          for (const V& v : values) c += SkewCost(v);
-          costs.push_back(c);
-        }
       }
     }
     const ShardPlan plan =
-        PlanReduceShards(weights, costs, num_reducers,
+        PlanReduceShards(weights, num_reducers,
                          cluster->config().skew_pair_budget,
                          opts.splittable_reduce);
     size_t split_blocks = 0;
@@ -564,60 +497,39 @@ JobOutput<OutT> RunMapReduce(
         active.push_back(b);
       }
     }
-    internal::ArenaLease reduce_arenas(cluster, active.size());
-    std::vector<AllocStats> reduce_allocs(active.size());
-    std::vector<uint64_t> rbase_pages(active.size(), 0);
-    std::vector<uint64_t> rbase_page_bytes(active.size(), 0);
-    for (size_t t = 0; t < active.size(); ++t) {
-      Arena* arena = reduce_arenas[t];
-      if (arena != nullptr) {
-        rbase_pages[t] = arena->total_pages_acquired();
-        rbase_page_bytes[t] = arena->total_page_bytes_acquired();
-      }
-    }
+    internal::TaskRunner reduce_tasks(cluster, active.size());
     // One output fragment per shard, drawing from the owning task's arena;
     // fragments are only ever touched by that one task.
     std::vector<TaskVector<OutT>> fragments;
     fragments.reserve(plan.shards.size());
     for (size_t s = 0; s < plan.shards.size(); ++s) {
-      const size_t t = task_of_bin[plan.bin_of[s]];
-      Arena* arena = reduce_arenas[t];
       fragments.emplace_back(ArenaAllocator<OutT>(
-          arena, arena == nullptr ? &reduce_allocs[t] : nullptr));
+          reduce_tasks.arena(task_of_bin[plan.bin_of[s]])));
     }
-    reduce_task_seconds.assign(active.size(), 0.0);
-    internal::RunTasks(cluster, opts.serial, active.size(), [&](size_t t) {
-      Arena* arena = reduce_arenas[t];
-      reduce_task_seconds[t] = internal::MeasureSeconds([&] {
-        for (size_t s : bin_shards[active[t]]) {
-          const ReduceShard& shard = plan.shards[s];
-          const BlockRef& block = blocks[shard.block];
-          TaskVector<OutT>* out = &fragments[s];
-          if (shard.begin == 0 && shard.end == block.values->size()) {
-            reduce_fn(*block.key, *block.values, out);
-          } else {
-            // Split shard: materialize the contiguous value sub-range on
-            // this task's arena. The copy is charged to the task — it models
-            // the extra shuffle traffic a real engine pays to fan a hot
-            // block out across reducers.
-            ValueList<V> slice(ArenaAllocator<V>(
-                arena, arena == nullptr ? &reduce_allocs[t] : nullptr));
-            slice.reserve(shard.end - shard.begin);
-            for (size_t i = shard.begin; i < shard.end; ++i) {
-              slice.push_back((*block.values)[i]);
+    reduce_task_seconds = reduce_tasks.Run(
+        opts.serial,
+        [&](size_t t) {
+          for (size_t s : bin_shards[active[t]]) {
+            const ReduceShard& shard = plan.shards[s];
+            const BlockRef& block = blocks[shard.block];
+            TaskVector<OutT>* out = &fragments[s];
+            if (shard.begin == 0 && shard.end == block.values->size()) {
+              reduce_fn(*block.key, *block.values, out);
+            } else {
+              // Split shard: materialize the contiguous value sub-range on
+              // this task's arena. The copy is charged to the task — it
+              // models the extra shuffle traffic a real engine pays to fan a
+              // hot block out across reducers.
+              ValueList<V> slice(ArenaAllocator<V>(reduce_tasks.arena(t)));
+              slice.reserve(shard.end - shard.begin);
+              for (size_t i = shard.begin; i < shard.end; ++i) {
+                slice.push_back((*block.values)[i]);
+              }
+              reduce_fn(*block.key, slice, out);
             }
-            reduce_fn(*block.key, slice, out);
           }
-        }
-      });
-    });
-    for (size_t t = 0; t < active.size(); ++t) {
-      const auto [n, b] = internal::TaskHeapAllocs(
-          reduce_arenas, t, rbase_pages[t], rbase_page_bytes[t],
-          reduce_allocs[t]);
-      stats.counters["alloc/count"] += n;
-      stats.counters["alloc/bytes"] += b;
-    }
+        },
+        &stats.counters);
     // Canonical shard order == the hash path's (block, pair-range) order.
     for (auto& frag : fragments) {
       result.output.insert(result.output.end(),
@@ -625,16 +537,11 @@ JobOutput<OutT> RunMapReduce(
                            std::make_move_iterator(frag.end()));
     }
     stats.num_reduce_tasks = active.size();
-
-    fragments.clear();
-    reduce_arenas.ReleaseAll();
   }
   stats.reduce_time = cluster->ScheduleMakespan(
       reduce_task_seconds, cluster->total_reduce_slots());
   stats.reduce_load = cluster->ComputeTaskLoad(reduce_task_seconds);
   stats.output_records = result.output.size();
-  partitions.clear();
-  if (shuffle_arena != nullptr) arena_pool->Release(shuffle_arena);
 
   internal::AddIntersectDelta(isect_base, &stats.counters);
   cluster->RecordJob(stats);
@@ -658,53 +565,34 @@ JobOutput<OutT> RunMapOnly(
   stats.input_records = input.size();
   const IntersectCounts isect_base = IntersectCountsSnapshot();
 
-  const size_t num_splits =
-      opts.num_splits > 0
-          ? opts.num_splits
-          : static_cast<size_t>(2 * cluster->total_map_slots());
-  auto splits = internal::MakeSplits(input.size(), num_splits);
+  const auto splits = internal::JobSplits(*cluster, input.size(), opts);
   stats.num_map_tasks = splits.size();
 
-  internal::ArenaLease arenas(cluster, splits.size());
-  std::vector<AllocStats> split_allocs(splits.size());
-  std::vector<uint64_t> base_pages(splits.size(), 0);
-  std::vector<uint64_t> base_page_bytes(splits.size(), 0);
-  std::vector<TaskVector<OutT>> split_outputs;
-  split_outputs.reserve(splits.size());
-  for (size_t t = 0; t < splits.size(); ++t) {
-    Arena* arena = arenas[t];
-    if (arena != nullptr) {
-      base_pages[t] = arena->total_pages_acquired();
-      base_page_bytes[t] = arena->total_page_bytes_acquired();
-    }
-    split_outputs.emplace_back(ArenaAllocator<OutT>(
-        arena, arena == nullptr ? &split_allocs[t] : nullptr));
-    split_outputs.back().reserve(splits[t].second - splits[t].first);
-  }
   std::vector<Counters> split_counters(splits.size());
-  std::vector<double> task_seconds(splits.size());
-  internal::RunTasks(cluster, opts.serial, splits.size(), [&](size_t t) {
-    const auto [begin, end] = splits[t];
-    TaskVector<OutT>* out = &split_outputs[t];
-    Counters* counters = &split_counters[t];
-    task_seconds[t] = internal::MeasureSeconds([&] {
-      for (size_t i = begin; i < end; ++i) map_fn(input[i], out, counters);
-    });
-    task_seconds[t] += opts.map_setup_seconds;
-  });
-  for (size_t t = 0; t < splits.size(); ++t) {
-    const auto [n, b] = internal::TaskHeapAllocs(
-        arenas, t, base_pages[t], base_page_bytes[t], split_allocs[t]);
-    split_counters[t]["alloc/count"] += n;
-    split_counters[t]["alloc/bytes"] += b;
+  std::vector<double> task_seconds;
+  {
+    internal::TaskRunner tasks(cluster, splits.size());
+    std::vector<TaskVector<OutT>> split_outputs;
+    split_outputs.reserve(splits.size());
+    for (size_t t = 0; t < splits.size(); ++t) {
+      split_outputs.emplace_back(ArenaAllocator<OutT>(tasks.arena(t)));
+      split_outputs.back().reserve(splits[t].second - splits[t].first);
+    }
+    task_seconds = tasks.Run(
+        opts.serial,
+        [&](size_t t) {
+          for (size_t i = splits[t].first; i < splits[t].second; ++i) {
+            map_fn(input[i], &split_outputs[t], &split_counters[t]);
+          }
+        },
+        &stats.counters);
+    for (auto& out : split_outputs) {
+      result.output.insert(result.output.end(),
+                           std::make_move_iterator(out.begin()),
+                           std::make_move_iterator(out.end()));
+    }
   }
-  for (auto& out : split_outputs) {
-    result.output.insert(result.output.end(),
-                         std::make_move_iterator(out.begin()),
-                         std::make_move_iterator(out.end()));
-  }
-  split_outputs.clear();
-  arenas.ReleaseAll();
+  for (double& seconds : task_seconds) seconds += opts.map_setup_seconds;
   for (auto& counters : split_counters) {
     for (auto& [counter, v] : counters) stats.counters[counter] += v;
   }

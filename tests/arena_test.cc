@@ -1,7 +1,7 @@
 // Tests for the arena/pool memory library (common/arena.h) and for the
-// contract it must keep: arena-backed execution is a pure memory-discipline
-// change — candidates and predictions are byte-identical to the counted-heap
-// path at any thread count.
+// contract the engine's task arenas must keep: a warm pool serves repeat
+// jobs without heap traffic, and candidates and predictions are
+// byte-identical between serial and parallel runs.
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -229,22 +229,19 @@ TEST(ScratchArenaTest, ThreadScratchIsStablePerThread) {
 
 // --- ArenaAllocator ----------------------------------------------------------
 
-TEST(ArenaAllocatorTest, HeapModeCountsEveryAllocation) {
-  AllocStats stats;
-  ArenaVector<int> v{ArenaAllocator<int>(nullptr, &stats)};
+TEST(ArenaAllocatorTest, DefaultConstructedUsesThePlainHeap) {
+  ArenaVector<int> v;
+  EXPECT_EQ(v.get_allocator().arena(), nullptr);
   for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_GT(stats.count, 1u);  // growth reallocations are real heap traffic
-  EXPECT_GE(stats.bytes, 1000 * sizeof(int));
+  EXPECT_EQ(v[999], 999);
 }
 
 TEST(ArenaAllocatorTest, ArenaModeBypassesTheHeap) {
   CountingPageProvider provider;
   Arena arena(&provider);
-  AllocStats stats;
   {
-    ArenaVector<int> v{ArenaAllocator<int>(&arena, &stats)};
+    ArenaVector<int> v{ArenaAllocator<int>(&arena)};
     for (int i = 0; i < 1000; ++i) v.push_back(i);
-    EXPECT_EQ(stats.count, 0u);  // arena mode never counts heap allocs
     EXPECT_GE(arena.bytes_used(), 1000 * sizeof(int));
   }
   // Vector destruction deallocates into the arena (a no-op): nothing was
@@ -254,11 +251,9 @@ TEST(ArenaAllocatorTest, ArenaModeBypassesTheHeap) {
 
 TEST(ArenaAllocatorTest, RebindCarriesArenaAndStats) {
   Arena arena;
-  AllocStats stats;
-  ArenaAllocator<int> ints(&arena, &stats);
+  ArenaAllocator<int> ints(&arena);
   ArenaAllocator<char> chars(ints);
   EXPECT_EQ(chars.arena(), &arena);
-  EXPECT_EQ(chars.stats(), &stats);
   EXPECT_TRUE(ints == chars);
   EXPECT_FALSE(ints == ArenaAllocator<int>());
 }
@@ -285,46 +280,47 @@ TEST(ProviderSwapTest, TokenDictionaryRoutesPagesThroughProvider) {
 
 // --- engine alloc accounting -------------------------------------------------
 
-ClusterConfig FastCluster(int threads = 1, bool task_arenas = true) {
+ClusterConfig FastCluster(int threads = 1) {
   ClusterConfig c;
   c.job_startup = VDuration::Seconds(0.5);
   c.task_overhead = VDuration::Seconds(0.01);
   c.local_threads = threads;
-  c.task_arenas = task_arenas;
   return c;
 }
 
-TEST(EngineAllocCountersTest, JobsReportRealHeapTraffic) {
+TEST(EngineAllocCountersTest, WarmPoolRerunReportsNoHeapTraffic) {
   std::vector<int> input(2000);
   for (size_t i = 0; i < input.size(); ++i) input[i] = static_cast<int>(i);
-  auto run = [&](bool task_arenas) {
-    Cluster cluster(FastCluster(1, task_arenas));
-    auto job = RunMapOnly<int, int>(
-        &cluster, input, JobOptions{.name = "alloc_probe"},
-        [](const int& x, TaskVector<int>* out) {
-          for (int k = 0; k < 8; ++k) out->push_back(x + k);
-        });
-    EXPECT_EQ(job.output.size(), input.size() * 8);
-    return job.stats;
-  };
-  JobStats with_arenas = run(true);
-  JobStats heap_only = run(false);
-  // Both paths report the counters; the heap path reports per-growth
-  // reallocations while the warm-arena path reports only page acquisitions.
-  ASSERT_TRUE(with_arenas.counters.count("alloc/count"));
-  ASSERT_TRUE(with_arenas.counters.count("alloc/bytes"));
-  ASSERT_TRUE(heap_only.counters.count("alloc/count"));
-  EXPECT_GT(heap_only.counters["alloc/count"], 0);
-  EXPECT_LE(with_arenas.counters["alloc/count"],
-            heap_only.counters["alloc/count"]);
+  for (int threads : {1, 4}) {
+    Cluster cluster(FastCluster(threads));
+    auto run = [&] {
+      auto job = RunMapOnly<int, int>(
+          &cluster, input, JobOptions{.name = "alloc_probe"},
+          [](const int& x, TaskVector<int>* out) {
+            for (int k = 0; k < 8; ++k) out->push_back(x + k);
+          });
+      EXPECT_EQ(job.output.size(), input.size() * 8);
+      return job.stats;
+    };
+    JobStats cold = run();
+    JobStats warm = run();
+    // The first run fills the cluster's arena pool; the same job on the
+    // warm pool finds every page it needs already there.
+    ASSERT_TRUE(cold.counters.count("alloc/count")) << "threads=" << threads;
+    ASSERT_TRUE(warm.counters.count("alloc/bytes")) << "threads=" << threads;
+    EXPECT_GT(cold.counters["alloc/count"], 0) << "threads=" << threads;
+    EXPECT_EQ(warm.counters["alloc/count"], 0) << "threads=" << threads;
+    EXPECT_EQ(warm.counters["alloc/bytes"], 0) << "threads=" << threads;
+  }
 }
 
-// --- arena/heap equivalence property tests -----------------------------------
+// --- serial/parallel equivalence property tests ------------------------------
 
-// The arena plumbing must be invisible in every result: blocking candidates
-// and matcher predictions are identical between task_arenas={on, off} and
-// across thread counts. (Whole-pipeline runs are NOT compared — measured
-// wall-clock times steer rule selection; see pipeline_test.cc.)
+// The task-arena plumbing must be invisible in every result: blocking
+// candidates and matcher predictions are identical between a serial run and
+// a parallel run, whose tasks draw from different arenas in a different
+// order. (Whole-pipeline runs are NOT compared — measured wall-clock times
+// steer rule selection; see pipeline_test.cc.)
 struct EquivalenceFixture {
   GeneratedDataset data;
   FeatureSet fs;
@@ -363,21 +359,21 @@ struct EquivalenceFixture {
 
 class ArenaEquivalence : public ::testing::TestWithParam<ApplyMethod> {};
 
-TEST_P(ArenaEquivalence, BlockingCandidatesMatchHeapPath) {
+TEST_P(ArenaEquivalence, BlockingCandidatesMatchSerialPath) {
   static EquivalenceFixture* fx = new EquivalenceFixture();
-  auto run = [&](bool task_arenas, int threads) {
-    Cluster cluster(FastCluster(threads, task_arenas));
+  auto run = [&](int threads) {
+    Cluster cluster(FastCluster(threads));
     return ApplyBlockingRules(fx->data.a, fx->data.b, fx->seq, fx->fs,
                               fx->catalog, &cluster, GetParam(),
                               ApplyOptions{});
   };
-  auto heap_serial = run(false, 1);
-  auto arena_wide = run(true, 4);
-  ASSERT_TRUE(heap_serial.ok()) << heap_serial.status().ToString();
-  ASSERT_TRUE(arena_wide.ok()) << arena_wide.status().ToString();
-  ASSERT_FALSE(heap_serial->pairs.empty());
-  EXPECT_EQ(arena_wide->pairs, heap_serial->pairs);
-  EXPECT_EQ(arena_wide->candidates_examined, heap_serial->candidates_examined);
+  auto serial = run(1);
+  auto wide = run(4);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  ASSERT_FALSE(serial->pairs.empty());
+  EXPECT_EQ(wide->pairs, serial->pairs);
+  EXPECT_EQ(wide->candidates_examined, serial->candidates_examined);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -387,7 +383,7 @@ INSTANTIATE_TEST_SUITE_P(
       return ApplyMethodName(info.param);
     });
 
-TEST(ArenaEquivalenceTest, FusedPredictionsMatchHeapPath) {
+TEST(ArenaEquivalenceTest, FusedPredictionsMatchSerialPath) {
   WorkloadOptions opt;
   opt.size_a = 120;
   opt.size_b = 150;
@@ -423,20 +419,16 @@ TEST(ArenaEquivalenceTest, FusedPredictionsMatchHeapPath) {
     pairs.emplace_back(static_cast<RowId>(rng.NextBelow(d.a.num_rows())),
                        static_cast<RowId>(rng.NextBelow(d.b.num_rows())));
   }
-  auto run = [&](bool task_arenas, int threads) {
-    Cluster cluster(FastCluster(threads, task_arenas));
+  auto run = [&](int threads) {
+    Cluster cluster(FastCluster(threads));
     return ApplyMatcherFused(d.a, d.b, pairs, fs, fs.all_ids(), flat,
                              &cluster);
   };
-  auto heap_serial = run(false, 1);
-  auto arena_wide = run(true, 4);
-  EXPECT_EQ(arena_wide.predictions, heap_serial.predictions);
-  EXPECT_EQ(arena_wide.work.features_computed,
-            heap_serial.work.features_computed);
-  EXPECT_EQ(arena_wide.work.trees_voted, heap_serial.work.trees_voted);
-  // The whole point: the arena path charged (weakly) fewer real heap
-  // allocations to the job than the counted-heap path.
-  EXPECT_LE(arena_wide.work.alloc_count, heap_serial.work.alloc_count);
+  auto serial = run(1);
+  auto wide = run(4);
+  EXPECT_EQ(wide.predictions, serial.predictions);
+  EXPECT_EQ(wide.work.features_computed, serial.work.features_computed);
+  EXPECT_EQ(wide.work.trees_voted, serial.work.trees_voted);
 }
 
 }  // namespace

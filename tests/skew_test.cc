@@ -156,58 +156,6 @@ TEST(PlanReduceShardsTest, PlanIsAPureFunctionOfItsInputs) {
   EXPECT_EQ(a.max_bin_weight, b.max_bin_weight);
 }
 
-// --- cost-weighted planner --------------------------------------------------
-
-void ExpectSamePlan(const ShardPlan& a, const ShardPlan& b) {
-  EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.bin_of, b.bin_of);
-  EXPECT_EQ(a.budget, b.budget);
-  EXPECT_EQ(a.max_bin_weight, b.max_bin_weight);
-  EXPECT_EQ(a.active_bins, b.active_bins);
-}
-
-TEST(PlanReduceShardsCostTest, EmptyCostsMatchLegacyPlan) {
-  std::vector<size_t> weights = {40, 9, 200, 3, 77, 77, 1};
-  ExpectSamePlan(PlanReduceShards(weights, {}, 5, 0, true),
-                 PlanReduceShards(weights, 5, 0, true));
-}
-
-TEST(PlanReduceShardsCostTest, CostsEqualToWeightsMatchLegacyPlan) {
-  std::vector<size_t> weights = {40, 9, 200, 3, 77, 77, 1};
-  ExpectSamePlan(PlanReduceShards(weights, weights, 5, 0, true),
-                 PlanReduceShards(weights, 5, 0, true));
-}
-
-TEST(PlanReduceShardsCostTest, HotCostBlockSplitsUnderCostBudget) {
-  // Equal VALUE counts but block 1 is 10x the reduce cost: the unweighted
-  // planner keeps both whole, the cost planner splits only the hot one.
-  std::vector<size_t> weights = {10, 10};
-  std::vector<size_t> costs = {10, 100};
-  ShardPlan plan = PlanReduceShards(weights, costs, 2, 20, true);
-  ASSERT_EQ(plan.shards.size(), 6u);
-  EXPECT_EQ(plan.shards[0], (ReduceShard{0, 0, 10}));
-  size_t pos = 0;
-  for (size_t i = 1; i < plan.shards.size(); ++i) {
-    EXPECT_EQ(plan.shards[i].block, 1u);
-    EXPECT_EQ(plan.shards[i].begin, pos);
-    EXPECT_EQ(plan.shards[i].weight(), 2u);  // 10 values over 5 pieces
-    pos = plan.shards[i].end;
-  }
-  EXPECT_EQ(pos, 10u);
-  // Packing balanced the COST (110 total over 2 bins), not the value count.
-  EXPECT_LE(plan.max_bin_weight, 60u);
-}
-
-TEST(PlanReduceShardsCostTest, SplitNeverGoesFinerThanOneValuePerRange) {
-  // Cost 1000 on a 3-value block with budget 10 wants 100 pieces but must
-  // cap at one value per range.
-  std::vector<size_t> weights = {3};
-  std::vector<size_t> costs = {1000};
-  ShardPlan plan = PlanReduceShards(weights, costs, 4, 10, true);
-  ASSERT_EQ(plan.shards.size(), 3u);
-  for (const auto& s : plan.shards) EXPECT_EQ(s.weight(), 1u);
-}
-
 // --- operator-level determinism -------------------------------------------------
 
 ClusterConfig FastCluster() {
@@ -309,29 +257,6 @@ TEST(SkewPartitionerTest, HotBlocksActuallySplitOnZipfData) {
                               "fixture no longer exercises splitting";
 }
 
-TEST(SkewPartitionerTest, CostWeightedBudgetsAreByteIdentical) {
-  // skew_cost_weights re-weighs the shard plan by estimated per-candidate
-  // intersection cost; shard boundaries may move but the reduce output is
-  // order-preserving, so candidates must not change at any thread count.
-  SkewFixture fixture;
-  ApplyResult base =
-      fixture.Run(ApplyMethod::kApplyAll, ShufflePartitioner::kSkewAware, 1);
-  ASSERT_FALSE(base.pairs.empty());
-  for (int threads : {1, 4}) {
-    ClusterConfig cfg = FastCluster();
-    cfg.partitioner = ShufflePartitioner::kSkewAware;
-    cfg.local_threads = threads;
-    cfg.skew_cost_weights = true;
-    Cluster cluster(cfg);
-    auto res = ApplyBlockingRules(fixture.data.a, fixture.data.b, fixture.seq,
-                                  fixture.fs, fixture.catalog, &cluster,
-                                  ApplyMethod::kApplyAll, ApplyOptions{});
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(base.pairs, res->pairs) << "threads=" << threads;
-    EXPECT_EQ(base.candidates_examined, res->candidates_examined);
-  }
-}
-
 TEST(SkewPartitionerTest, IndexProfileReportsPostingDistribution) {
   SkewFixture fixture;
   const BlockProfile& p = fixture.catalog.MergedBlockProfile();
@@ -420,6 +345,26 @@ TEST(TaskLoadStatsTest, PipelineRollupIsPopulated) {
   EXPECT_GE(m.task_vtime_max, m.task_vtime_mean);
   EXPECT_GE(m.task_vtime_max, m.task_vtime_p99);
   EXPECT_GE(m.straggler_ratio, 1.0);
+}
+
+TEST(TaskLoadStatsTest, NearestRankP99OverDistinctTaskSeconds) {
+  ClusterConfig cfg;
+  cfg.task_overhead = VDuration::Zero();
+  Cluster cluster(cfg);
+  // Task i takes i seconds, listed in descending order: the p99 is the
+  // ceil(0.99 n)-th smallest value, and the max below 100 tasks.
+  auto load_of = [&](int n) {
+    std::vector<double> seconds;
+    for (int i = n; i >= 1; --i) seconds.push_back(static_cast<double>(i));
+    return cluster.ComputeTaskLoad(seconds);
+  };
+  const TaskLoadStats n200 = load_of(200);
+  EXPECT_EQ(n200.tasks, 200u);
+  EXPECT_DOUBLE_EQ(n200.p99_seconds, 198.0);
+  EXPECT_DOUBLE_EQ(n200.max_seconds, 200.0);
+  const TaskLoadStats n50 = load_of(50);
+  EXPECT_DOUBLE_EQ(n50.p99_seconds, 50.0);
+  EXPECT_DOUBLE_EQ(n50.max_seconds, 50.0);
 }
 
 // --- Zipf sampler ---------------------------------------------------------------
