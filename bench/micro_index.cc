@@ -210,11 +210,11 @@ void WriteComparisonReport() {
     sweep(&keep_scalar);
     auto tB = Clock::now();
     SetIntersectForceScalar(false);
-    const IntersectCounts before = IntersectCountsSnapshot();
+    const IntersectCounts before = ThreadIntersectCounts();
     auto tC = Clock::now();
     sweep(&keep_adaptive);
     auto tD = Clock::now();
-    const IntersectCounts delta = IntersectCountsSnapshot() - before;
+    const IntersectCounts delta = ThreadIntersectCounts() - before;
     if (keep_scalar != keep_adaptive) {
       fprintf(stderr,
               "FATAL: adaptive kernels changed a RuleApplier::Keep "
@@ -263,7 +263,7 @@ void WriteComparisonReport() {
     *ms = std::chrono::duration<double, std::milli>(tB - tA).count();
     *alloc_count = 0;
     *alloc_bytes = 0;
-    for (const JobStats& js : cluster.job_history()) {
+    for (const JobStats& js : cluster.JobHistorySnapshot()) {
       if (auto it = js.counters.find("alloc/count"); it != js.counters.end()) {
         *alloc_count += it->second;
       }

@@ -284,7 +284,7 @@ void CompareIntersectLane(bench::BenchReport* report, const std::string& key,
   SetIntersectForceScalar(false);
 
   size_t sum_adaptive = 0;
-  const IntersectCounts before = IntersectCountsSnapshot();
+  const IntersectCounts before = ThreadIntersectCounts();
   auto t2 = Clock::now();
   for (size_t i = 0; i < iters; ++i) {
     sum_adaptive += SortedIntersectionSize(
@@ -292,7 +292,7 @@ void CompareIntersectLane(bench::BenchReport* report, const std::string& key,
         std::span<const TokenId>(ys[(i * 7 + 3) % kPairs]));
   }
   auto t3 = Clock::now();
-  const IntersectCounts delta = IntersectCountsSnapshot() - before;
+  const IntersectCounts delta = ThreadIntersectCounts() - before;
 
   if (sum_scalar != sum_adaptive) {
     fprintf(stderr,

@@ -85,11 +85,12 @@ struct RunMetrics {
 
   /// Intersection-kernel activity across every MapReduce job of the run
   /// (text/intersect.h): which strategy the adaptive entry points resolved
-  /// to, per call, plus threshold early exits and membership probes. Totals
-  /// are deterministic per workload + build flavor (every intersection runs
-  /// exactly once regardless of thread count); per-job attribution can shift
-  /// under concurrent sessions, like the alloc counters. Diagnostics only —
-  /// not part of the determinism contract and never serialized.
+  /// to, per call, plus threshold early exits and membership probes. Each job
+  /// counts only the calls its own tasks made, so totals are deterministic
+  /// per workload + build flavor (every intersection runs exactly once
+  /// regardless of thread count) and concurrent sessions do not inflate each
+  /// other's. Diagnostics only — not part of the determinism contract and
+  /// never serialized.
   uint64_t intersect_scalar = 0;
   uint64_t intersect_small = 0;
   uint64_t intersect_gallop = 0;

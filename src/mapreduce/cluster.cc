@@ -131,7 +131,6 @@ ScopedJobSink::~ScopedJobSink() { t_job_sink = outer_; }
 void Cluster::RecordJob(const JobStats& stats) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    total_machine_time_ += stats.Total();
     job_history_.push_back(stats);
   }
   if (t_job_sink != nullptr) t_job_sink->sink_(stats);
@@ -142,17 +141,11 @@ std::vector<JobStats> Cluster::JobHistorySnapshot() const {
   return job_history_;
 }
 
-VDuration Cluster::total_machine_time() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_machine_time_;
-}
-
 // Callers that reset between measurement lanes (benches, A/B harnesses) must
 // quiesce their own jobs first: the reset itself is synchronized, but a job
 // recorded after it is attributed to the new lane.
 void Cluster::ResetAccounting() {
   std::lock_guard<std::mutex> lock(mu_);
-  total_machine_time_ = VDuration::Zero();
   job_history_.clear();
 }
 

@@ -190,14 +190,11 @@ class Cluster {
   /// calling thread's ScopedJobSink, if any.
   void RecordJob(const JobStats& stats);
 
-  /// Sum of virtual durations of all executed jobs. Synchronized against
-  /// concurrent RecordJob, so sibling sessions can roll up metrics mid-run.
-  VDuration total_machine_time() const;
-  /// Unsynchronized view of the accounting ledger — only safe while no
-  /// other thread can be inside RecordJob (single-session benches/tests).
-  const std::vector<JobStats>& job_history() const { return job_history_; }
-  /// Synchronized copy of the ledger, safe against concurrent RecordJob
-  /// (e.g. a session rolling up metrics while sibling sessions run jobs).
+  /// Synchronized copy of the accounting ledger — every job recorded since
+  /// construction or the last ResetAccounting() — safe against concurrent
+  /// RecordJob (e.g. a bench reading the ledger while sessions run jobs).
+  /// The ledger grows for the cluster's lifetime; a long-lived owner calls
+  /// ResetAccounting() to bound it.
   std::vector<JobStats> JobHistorySnapshot() const;
   void ResetAccounting();
 
@@ -215,7 +212,6 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  VDuration total_machine_time_;
   std::vector<JobStats> job_history_;
 
   mutable std::mutex mu_;  ///< guards accounting and lazy pool creation

@@ -33,6 +33,13 @@
 // scheduling — so unlike user counters they are not required to be identical
 // between serial and parallel runs; job outputs still are. Worker-thread
 // scratch (ThreadScratch) is likewise reset after every task.
+//
+// The runner also reads the executing thread's intersection-kernel counters
+// (text/intersect.h) around every task and charges the difference to the job
+// as "intersect/*", so a job counts exactly the kernel calls its own tasks
+// made, even while other jobs run on the same or other clusters. Map and
+// reduce bodies must not run nested jobs: a nested job's calls would count
+// in both jobs.
 #ifndef FALCON_MAPREDUCE_JOB_H_
 #define FALCON_MAPREDUCE_JOB_H_
 
@@ -239,7 +246,8 @@ uint64_t StableKeyHash(const std::pair<A, B>& p) {
 /// merge, reduce tasks. Construction leases one arena per task from the
 /// cluster's pool and records its page counters; callers build each task's
 /// buffers on arena(t), then Run() executes the tasks and charges the pages
-/// each arena acquired since the lease to "alloc/count"/"alloc/bytes".
+/// each arena acquired since the lease to "alloc/count"/"alloc/bytes", and
+/// the intersection-kernel calls each task made to "intersect/*".
 /// Release() (or destruction) returns the arenas to the pool — reset, pages
 /// retained — so everything allocated from them must be destroyed first:
 /// declare the runner before the buffers that draw from it. Leasing happens
@@ -269,13 +277,18 @@ class TaskRunner {
   /// resolves to a single local thread — and returns each task's measured
   /// seconds. The executing thread's scratch arena is reset after every task
   /// (scratch capacity never outlives the task that grew it by more than the
-  /// retention bound). Adds the phase's page acquisitions to `counters`.
+  /// retention bound). Adds the phase's page acquisitions and its tasks'
+  /// intersection-kernel calls (only the non-zero strategies, so counter
+  /// maps stay sparse) to `counters`.
   std::vector<double> Run(bool serial, const std::function<void(size_t)>& task,
                           Counters* counters) {
     const size_t n = arenas_.size();
     std::vector<double> seconds(n);
+    std::vector<IntersectCounts> isect(n);
     const std::function<void(size_t)> measured = [&](size_t t) {
+      const IntersectCounts isect_before = ThreadIntersectCounts();
       seconds[t] = MeasureSeconds([&] { task(t); });
+      isect[t] = ThreadIntersectCounts() - isect_before;
       ThreadScratch().Reset();
     };
     ThreadPool* pool = (serial || n <= 1) ? nullptr : cluster_->pool();
@@ -289,6 +302,19 @@ class TaskRunner {
           arenas_[t]->total_pages_acquired() - base_[t].first);
       (*counters)["alloc/bytes"] += static_cast<int64_t>(
           arenas_[t]->total_page_bytes_acquired() - base_[t].second);
+    }
+    IntersectCounts sum;
+    for (const IntersectCounts& d : isect) sum += d;
+    const std::pair<const char*, uint64_t> isect_keys[] = {
+        {"intersect/scalar", sum.scalar},
+        {"intersect/small", sum.small},
+        {"intersect/gallop", sum.gallop},
+        {"intersect/simd", sum.simd},
+        {"intersect/early_exit", sum.early_exit},
+        {"intersect/contains", sum.contains},
+    };
+    for (const auto& [key, calls] : isect_keys) {
+      if (calls > 0) (*counters)[key] += static_cast<int64_t>(calls);
     }
     return seconds;
   }
@@ -304,25 +330,6 @@ class TaskRunner {
   std::vector<Arena*> arenas_;
   std::vector<std::pair<uint64_t, uint64_t>> base_;  ///< (pages, bytes)
 };
-
-/// Folds the intersection-kernel activity since `base` into the job's
-/// counters as "intersect/*" (only the strategies that actually ran, so
-/// counter maps stay sparse). Totals are deterministic per workload + build
-/// flavor; per-job attribution, like alloc/*, can shift when concurrent
-/// sessions overlap on one cluster.
-inline void AddIntersectDelta(const IntersectCounts& base, Counters* c) {
-  const IntersectCounts d = IntersectCountsSnapshot() - base;
-  if (d.scalar > 0) (*c)["intersect/scalar"] += static_cast<int64_t>(d.scalar);
-  if (d.small > 0) (*c)["intersect/small"] += static_cast<int64_t>(d.small);
-  if (d.gallop > 0) (*c)["intersect/gallop"] += static_cast<int64_t>(d.gallop);
-  if (d.simd > 0) (*c)["intersect/simd"] += static_cast<int64_t>(d.simd);
-  if (d.early_exit > 0) {
-    (*c)["intersect/early_exit"] += static_cast<int64_t>(d.early_exit);
-  }
-  if (d.contains > 0) {
-    (*c)["intersect/contains"] += static_cast<int64_t>(d.contains);
-  }
-}
 
 }  // namespace internal
 
@@ -347,7 +354,6 @@ JobOutput<OutT> RunMapReduce(
   stats.name = opts.name;
   stats.startup = cluster->config().job_startup;
   stats.input_records = input.size();
-  const IntersectCounts isect_base = IntersectCountsSnapshot();
 
   const size_t num_reducers =
       opts.num_reducers > 0
@@ -543,7 +549,6 @@ JobOutput<OutT> RunMapReduce(
   stats.reduce_load = cluster->ComputeTaskLoad(reduce_task_seconds);
   stats.output_records = result.output.size();
 
-  internal::AddIntersectDelta(isect_base, &stats.counters);
   cluster->RecordJob(stats);
   return result;
 }
@@ -563,7 +568,6 @@ JobOutput<OutT> RunMapOnly(
   stats.name = opts.name;
   stats.startup = cluster->config().job_startup;
   stats.input_records = input.size();
-  const IntersectCounts isect_base = IntersectCountsSnapshot();
 
   const auto splits = internal::JobSplits(*cluster, input.size(), opts);
   stats.num_map_tasks = splits.size();
@@ -600,7 +604,6 @@ JobOutput<OutT> RunMapOnly(
       cluster->ScheduleMakespan(task_seconds, cluster->total_map_slots());
   stats.map_load = cluster->ComputeTaskLoad(task_seconds);
   stats.output_records = result.output.size();
-  internal::AddIntersectDelta(isect_base, &stats.counters);
   cluster->RecordJob(stats);
   return result;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <mutex>
 
 #if defined(FALCON_SIMD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -16,77 +15,10 @@ namespace {
 
 // --- per-thread activity counters -------------------------------------------
 
-enum CounterIdx {
-  kIdxScalar = 0,
-  kIdxSmall,
-  kIdxGallop,
-  kIdxSimd,
-  kIdxEarlyExit,
-  kIdxContains,
-  kNumCounters,
-};
-
-/// One cache line per thread: only the owning thread writes (relaxed
-/// atomic_ref store — a plain mov on x86, no lock prefix), snapshot readers
-/// do relaxed atomic_ref loads, so there is never a data race and never
-/// cross-thread cache-line ping-pong on the hot increment.
-struct alignas(64) ThreadCounters {
-  uint64_t v[kNumCounters] = {};
-};
-
-/// Registry of live per-thread counter blocks plus the folded totals of
-/// exited threads. Leaked singleton: thread-exit destructors may run
-/// arbitrarily late, so the registry must outlive every thread.
-class CounterRegistry {
- public:
-  static CounterRegistry& Instance() {
-    static CounterRegistry* r = new CounterRegistry();
-    return *r;
-  }
-
-  void Register(ThreadCounters* c) {
-    std::lock_guard<std::mutex> lock(mu_);
-    live_.push_back(c);
-  }
-
-  void Retire(ThreadCounters* c) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int k = 0; k < kNumCounters; ++k) {
-      retired_[k] +=
-          std::atomic_ref<uint64_t>(c->v[k]).load(std::memory_order_relaxed);
-    }
-    live_.erase(std::remove(live_.begin(), live_.end(), c), live_.end());
-  }
-
-  void Sum(uint64_t out[kNumCounters]) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int k = 0; k < kNumCounters; ++k) out[k] = retired_[k];
-    for (ThreadCounters* c : live_) {
-      for (int k = 0; k < kNumCounters; ++k) {
-        out[k] +=
-            std::atomic_ref<uint64_t>(c->v[k]).load(std::memory_order_relaxed);
-      }
-    }
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<ThreadCounters*> live_;
-  uint64_t retired_[kNumCounters] = {};
-};
-
-struct TlsCounters {
-  ThreadCounters counters;
-  TlsCounters() { CounterRegistry::Instance().Register(&counters); }
-  ~TlsCounters() { CounterRegistry::Instance().Retire(&counters); }
-};
-
-inline void Bump(int k) {
-  thread_local TlsCounters tls;
-  std::atomic_ref<uint64_t> ref(tls.counters.v[k]);
-  ref.store(ref.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-}
+/// The calling thread's kernel activity. Constant-initialised and trivially
+/// destructible, so a bump is one increment of a thread-local word; only the
+/// owning thread ever reads or writes it.
+constinit thread_local IntersectCounts t_counts;
 
 std::atomic<bool> g_force_scalar{false};
 
@@ -249,18 +181,18 @@ bool AtLeastMerge(std::span<const TokenId> a, std::span<const TokenId> b,
     i += av <= bv;
     j += bv <= av;
     if (count >= alpha) {
-      Bump(kIdxEarlyExit);
+      ++t_counts.early_exit;
       return true;
     }
     if (--budget_check == 0) {
       budget_check = 16;
       if (count + std::min(n - i, m - j) < alpha) {
-        Bump(kIdxEarlyExit);
+        ++t_counts.early_exit;
         return false;
       }
     }
   }
-  Bump(kIdxScalar);
+  ++t_counts.scalar;
   return count >= alpha;
 }
 
@@ -274,16 +206,16 @@ bool AtLeastGallop(std::span<const TokenId> shorter,
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {
     if (count >= alpha) {
-      Bump(kIdxEarlyExit);
+      ++t_counts.early_exit;
       return true;
     }
     if (count + (n - i) < alpha) {
-      Bump(kIdxEarlyExit);
+      ++t_counts.early_exit;
       return false;
     }
     j = GallopLowerBound(longer, j, shorter[i]);
     if (j >= longer.size()) {
-      Bump(kIdxEarlyExit);
+      ++t_counts.early_exit;
       return false;  // count < alpha here (checked above, unchanged since)
     }
     if (longer[j] == shorter[i]) {
@@ -291,7 +223,7 @@ bool AtLeastGallop(std::span<const TokenId> shorter,
       ++j;
     }
   }
-  Bump(kIdxGallop);
+  ++t_counts.gallop;
   return count >= alpha;
 }
 
@@ -388,26 +320,26 @@ size_t SortedIntersectionSize(std::span<const TokenId> a,
                               std::span<const TokenId> b) {
   if (a.empty() || b.empty()) return 0;  // trivial; not worth a counter bump
   if (IntersectForceScalar()) {
-    Bump(kIdxScalar);
+    ++t_counts.scalar;
     return intersect::ScalarMerge(a, b);
   }
   switch (ChooseIntersectStrategy(a.size(), b.size())) {
     case IntersectStrategy::kGallop:
-      Bump(kIdxGallop);
+      ++t_counts.gallop;
       return intersect::Gallop(a, b);
     case IntersectStrategy::kSmall:
-      Bump(kIdxSmall);
+      ++t_counts.small;
       return intersect::SmallMerge(a, b);
     case IntersectStrategy::kSimd:
       if (const SimdDispatch& d = Simd(); d.fn != nullptr) {
-        Bump(kIdxSimd);
+        ++t_counts.simd;
         return d.fn(a, b);
       }
       [[fallthrough]];
     case IntersectStrategy::kScalar:
       break;
   }
-  Bump(kIdxScalar);
+  ++t_counts.scalar;
   return intersect::ScalarMerge(a, b);
 }
 
@@ -439,7 +371,7 @@ bool SortedIntersectionAtLeast(std::span<const TokenId> a,
   if (n < alpha) return false;  // free verdict, no counter bump
   if (IntersectForceScalar()) {
     // True baseline for A/B runs: full merge, no early exit.
-    Bump(kIdxScalar);
+    ++t_counts.scalar;
     return intersect::ScalarMerge(a, b) >= alpha;
   }
   if (UseGallop(n, m)) {
@@ -450,7 +382,7 @@ bool SortedIntersectionAtLeast(std::span<const TokenId> a,
 }
 
 bool SortedSetContains(std::span<const TokenId> sorted, TokenId v) {
-  Bump(kIdxContains);
+  ++t_counts.contains;
   size_t lo = 0;
   size_t hi = sorted.size();
   while (lo < hi) {
@@ -464,12 +396,6 @@ bool SortedSetContains(std::span<const TokenId> sorted, TokenId v) {
   return lo < sorted.size() && sorted[lo] == v;
 }
 
-IntersectCounts IntersectCountsSnapshot() {
-  uint64_t v[kNumCounters];
-  CounterRegistry::Instance().Sum(v);
-  return IntersectCounts{v[kIdxScalar],    v[kIdxSmall],
-                         v[kIdxGallop],    v[kIdxSimd],
-                         v[kIdxEarlyExit], v[kIdxContains]};
-}
+IntersectCounts ThreadIntersectCounts() { return t_counts; }
 
 }  // namespace falcon

@@ -27,9 +27,10 @@
 // element values, the thread, or timing), and every kernel returns exactly
 // |a ∩ b|, so results are byte-identical across thread counts, build flavors
 // (FALCON_SIMD on/off), and CPUs — only the per-strategy activity counters
-// below reveal which kernel ran. The counters flow through the MapReduce
-// engine into JobStats ("intersect/*") and RunMetrics so benches can report
-// which regime dominates each workload.
+// below reveal which kernel ran. The MapReduce task runner reads them around
+// each task and charges the difference to the task's job ("intersect/*"),
+// from where they reach RunMetrics, so benches can report which regime
+// dominates each workload.
 #ifndef FALCON_TEXT_INTERSECT_H_
 #define FALCON_TEXT_INTERSECT_H_
 
@@ -114,15 +115,12 @@ size_t SimdMerge(std::span<const TokenId> a, std::span<const TokenId> b);
 
 // --- activity counters ------------------------------------------------------
 
-/// Process-wide kernel activity, summed over all threads. Maintained as
-/// per-thread cache-line-private counters (relaxed atomic_ref stores by the
-/// owning thread only — no contention, TSan-clean) folded into a registry on
-/// thread exit, so snapshots are cheap and increments are ~1 ns.
-///
-/// Totals are deterministic for a given workload and build flavor (every
-/// intersection happens exactly once regardless of thread count); per-job
-/// attribution of the deltas, like the alloc counters, can shift when
-/// concurrent sessions overlap on one cluster.
+/// Kernel activity of one thread. Each thread counts its own calls in a
+/// thread-local IntersectCounts that no other thread reads; to attribute a
+/// stretch of work, read the counts before and after it on the thread that
+/// runs it and subtract. Totals are deterministic for a given workload and
+/// build flavor (every intersection happens exactly once regardless of
+/// thread count).
 struct IntersectCounts {
   uint64_t scalar = 0;      ///< adaptive calls resolved by the scalar merge
   uint64_t small = 0;       ///< ... by the branchless small-list merge
@@ -139,9 +137,19 @@ struct IntersectCounts {
                            gallop - o.gallop,         simd - o.simd,
                            early_exit - o.early_exit, contains - o.contains};
   }
+  IntersectCounts& operator+=(const IntersectCounts& o) {
+    scalar += o.scalar;
+    small += o.small;
+    gallop += o.gallop;
+    simd += o.simd;
+    early_exit += o.early_exit;
+    contains += o.contains;
+    return *this;
+  }
 };
 
-IntersectCounts IntersectCountsSnapshot();
+/// The calling thread's activity since the thread started.
+IntersectCounts ThreadIntersectCounts();
 
 }  // namespace falcon
 

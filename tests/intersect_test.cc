@@ -4,22 +4,26 @@
 // against it across the shapes that historically break such kernels (empty,
 // singleton, disjoint, identical, ragged SIMD-width tails, ids past 2^16).
 // Plus: the strategy rule is a pure function of the lengths, the activity
-// counters move, and a threaded MapReduce run is byte-identical to serial
-// and to a force-scalar run.
+// counters move, a threaded MapReduce run is byte-identical to serial and to
+// a force-scalar run, and a job's counters hold only its own tasks' calls.
 #include "text/intersect.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <latch>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "blocking/apply.h"
 #include "blocking/index_builder.h"
 #include "mapreduce/cluster.h"
+#include "mapreduce/job.h"
 #include "rules/feature.h"
 #include "rules/rule.h"
 #include "workload/generator.h"
@@ -214,7 +218,7 @@ TEST(IntersectCountersTest, AdaptiveCallsBumpTheMatchingCounter) {
   auto short_s = MakeSet(24, 20, 1 << 14);
   auto long_s = MakeSet(25, 2000, 1 << 14);
 
-  IntersectCounts before = IntersectCountsSnapshot();
+  IntersectCounts before = ThreadIntersectCounts();
   SortedIntersectionSize(std::span<const TokenId>(tiny_a),
                          std::span<const TokenId>(tiny_b));
   SortedIntersectionSize(std::span<const TokenId>(bal_a),
@@ -222,7 +226,7 @@ TEST(IntersectCountersTest, AdaptiveCallsBumpTheMatchingCounter) {
   SortedIntersectionSize(std::span<const TokenId>(short_s),
                          std::span<const TokenId>(long_s));
   SortedSetContains(bal_a, bal_a[0]);
-  IntersectCounts delta = IntersectCountsSnapshot() - before;
+  IntersectCounts delta = ThreadIntersectCounts() - before;
 
   EXPECT_EQ(delta.small, 1u);
   EXPECT_EQ(delta.gallop, 1u);
@@ -236,18 +240,18 @@ TEST(IntersectCountersTest, AdaptiveCallsBumpTheMatchingCounter) {
   EXPECT_EQ(delta.contains, 1u);
 
   // Early exit on a decidable threshold call.
-  before = IntersectCountsSnapshot();
+  before = ThreadIntersectCounts();
   EXPECT_TRUE(SortedIntersectionAtLeast(bal_a, bal_a, 1));
-  delta = IntersectCountsSnapshot() - before;
+  delta = ThreadIntersectCounts() - before;
   EXPECT_EQ(delta.early_exit, 1u);
 
   // Raw kernels never count.
-  before = IntersectCountsSnapshot();
+  before = ThreadIntersectCounts();
   ScalarMerge(bal_a, bal_b);
   SmallMerge(tiny_a, tiny_b);
   Gallop(short_s, long_s);
   SimdMerge(bal_a, bal_b);
-  delta = IntersectCountsSnapshot() - before;
+  delta = ThreadIntersectCounts() - before;
   EXPECT_EQ(delta.total(), 0u);
 }
 
@@ -256,12 +260,12 @@ TEST(IntersectCountersTest, ForceScalarRoutesEverythingToScalarMerge) {
   auto bal_b = MakeSet(31, 64, 512);
   const size_t want = RefCount(bal_a, bal_b);
   SetIntersectForceScalar(true);
-  IntersectCounts before = IntersectCountsSnapshot();
+  IntersectCounts before = ThreadIntersectCounts();
   EXPECT_EQ(SortedIntersectionSize(std::span<const TokenId>(bal_a),
                                    std::span<const TokenId>(bal_b)),
             want);
   EXPECT_EQ(SortedIntersectionAtLeast(bal_a, bal_b, 1), want >= 1);
-  IntersectCounts delta = IntersectCountsSnapshot() - before;
+  IntersectCounts delta = ThreadIntersectCounts() - before;
   SetIntersectForceScalar(false);
   EXPECT_EQ(delta.scalar, 2u);
   EXPECT_EQ(delta.simd, 0u);
@@ -355,14 +359,64 @@ TEST(IntersectJobTest, ByteIdenticalAcrossThreadsAndKernels) {
   EXPECT_EQ(serial.candidates_examined, scalar.candidates_examined);
 }
 
+uint64_t IntersectTotal(const Counters& counters) {
+  uint64_t total = 0;
+  for (const auto& [key, value] : counters) {
+    if (key.rfind("intersect/", 0) == 0) total += static_cast<uint64_t>(value);
+  }
+  return total;
+}
+
 TEST(IntersectJobTest, JobStatsCarryIntersectCounters) {
   IntersectJobFixture fixture;
   ApplyResult res = fixture.Run(2);
-  uint64_t total = 0;
-  for (const auto& [key, value] : res.main_job.counters) {
-    if (key.rfind("intersect/", 0) == 0) total += value;
-  }
-  EXPECT_GT(total, 0u) << "blocking job recorded no intersect/* activity";
+  EXPECT_GT(IntersectTotal(res.main_job.counters), 0u)
+      << "blocking job recorded no intersect/* activity";
+}
+
+// A job counts exactly the kernel calls its own tasks make. Another thread
+// keeps intersecting for the whole job — its first call lands after the job
+// has started, because every map task waits for it — and none of those
+// calls may reach the job's counters.
+TEST(IntersectJobTest, ConcurrentCallsOnOtherThreadsAreNotCharged) {
+  ClusterConfig cfg = FastCluster();
+  cfg.local_threads = 2;
+  Cluster cluster(cfg);
+  const auto a = MakeSet(40, 64, 512);
+  const auto b = MakeSet(41, 64, 512);
+  const std::vector<int> input(16, 0);
+
+  std::latch job_started(1);
+  std::latch other_called(1);
+  std::atomic<bool> started_signalled{false};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> other_calls{0};
+  std::thread other([&] {
+    job_started.wait();
+    SortedIntersectionSize(std::span<const TokenId>(a),
+                           std::span<const TokenId>(b));
+    other_calls.fetch_add(1);
+    other_called.count_down();
+    while (!stop.load()) {
+      SortedIntersectionSize(std::span<const TokenId>(a),
+                             std::span<const TokenId>(b));
+      other_calls.fetch_add(1);
+    }
+  });
+  auto job = RunMapOnly<int, int>(
+      &cluster, input, {.name = "own-calls", .num_splits = 4},
+      [&](const int&, TaskVector<int>*) {
+        if (!started_signalled.exchange(true)) job_started.count_down();
+        other_called.wait();
+        SortedIntersectionSize(std::span<const TokenId>(a),
+                               std::span<const TokenId>(b));
+      });
+  stop.store(true);
+  other.join();
+
+  ASSERT_GE(other_calls.load(), 1u);
+  EXPECT_EQ(job.stats.num_map_tasks, 4u);
+  EXPECT_EQ(IntersectTotal(job.stats.counters), input.size());
 }
 
 }  // namespace

@@ -180,12 +180,12 @@ TEST(MapReduceTest, JobHistoryAccumulates) {
                        [](const int&, TaskVector<int>*) {});
   RunMapOnly<int, int>(&cluster, input, {.name = "j2"},
                        [](const int&, TaskVector<int>*) {});
-  EXPECT_EQ(cluster.job_history().size(), 2u);
-  EXPECT_EQ(cluster.job_history()[0].name, "j1");
-  EXPECT_GT(cluster.total_machine_time().seconds, 0.0);
+  const std::vector<JobStats> history = cluster.JobHistorySnapshot();
+  ASSERT_EQ(history.size(), 2u);
+  EXPECT_EQ(history[0].name, "j1");
+  EXPECT_GT(history[0].Total().seconds, 0.0);
   cluster.ResetAccounting();
-  EXPECT_EQ(cluster.job_history().size(), 0u);
-  EXPECT_EQ(cluster.total_machine_time().seconds, 0.0);
+  EXPECT_TRUE(cluster.JobHistorySnapshot().empty());
 }
 
 TEST(MapReduceTest, DeterministicOutputAcrossRuns) {

@@ -113,7 +113,9 @@ TEST(PipelineTest, ParallelPipelineMatchesSerialAccounting) {
     Outcome out;
     if (r.ok()) {
       out.f1 = EvaluateMatches(r->matches, data.truth).f1;
-      out.machine_seconds = cluster.total_machine_time().seconds;
+      for (const JobStats& job : cluster.JobHistorySnapshot()) {
+        out.machine_seconds += job.Total().seconds;
+      }
     }
     return out;
   };

@@ -274,24 +274,37 @@ TEST(SessionManagerTest, ConcurrentSessionsMatchSoloRuns) {
   }
 }
 
-// A session's task-load rollup counts only the jobs its own steps ran: two
-// sessions sharing one cluster — on concurrent threads, or one after the
-// other on a reused cluster — each report their solo mr_tasks.
+// A session's task-load rollup and intersection-kernel counters count only
+// the jobs its own steps ran: two sessions sharing one cluster — on
+// concurrent threads, or one after the other on a reused cluster — each
+// report their solo mr_tasks and their solo intersect_* total.
 TEST(SessionManagerTest, SharedClusterSessionsReportTheirSoloTaskCounts) {
   FalconConfig cfg1 = MatcherOnlyConfig(3);
   FalconConfig cfg2 = MatcherOnlyConfig(19);
-  auto solo_tasks = [](uint64_t data_seed, const FalconConfig& cfg) {
+  struct Counts {
+    size_t tasks = 0;
+    uint64_t intersect = 0;
+  };
+  auto counts_of = [](const RunMetrics& m) {
+    return Counts{m.mr_tasks, m.intersect_scalar + m.intersect_small +
+                                  m.intersect_gallop + m.intersect_simd +
+                                  m.intersect_early_exit +
+                                  m.intersect_contains};
+  };
+  auto solo_counts = [&](uint64_t data_seed, const FalconConfig& cfg) {
     GeneratedDataset data = MatcherOnlyData(data_seed);
     Cluster cluster{FastCluster(2)};
     SimulatedCrowd crowd(CrowdConfig(cfg.seed), data.truth.MakeOracle());
     WorkflowSession session("solo", &data.a, &data.b, &crowd, &cluster, cfg);
     EXPECT_TRUE(session.RunToCompletion().ok());
-    return session.pipeline().state().out.metrics.mr_tasks;
+    return counts_of(session.pipeline().state().out.metrics);
   };
-  const size_t solo1 = solo_tasks(5, cfg1);
-  const size_t solo2 = solo_tasks(6, cfg2);
-  ASSERT_GT(solo1, 0u);
-  ASSERT_GT(solo2, 0u);
+  const Counts solo1 = solo_counts(5, cfg1);
+  const Counts solo2 = solo_counts(6, cfg2);
+  ASSERT_GT(solo1.tasks, 0u);
+  ASSERT_GT(solo2.tasks, 0u);
+  ASSERT_GT(solo1.intersect, 0u);
+  ASSERT_GT(solo2.intersect, 0u);
 
   for (const bool threaded : {true, false}) {
     SCOPED_TRACE(threaded ? "concurrent threads" : "reused cluster");
@@ -306,11 +319,13 @@ TEST(SessionManagerTest, SharedClusterSessionsReportTheirSoloTaskCounts) {
     }
     ASSERT_TRUE(manager.Create("two", &d2.a, &d2.b, &c2, cfg2).ok());
     ASSERT_TRUE((threaded ? manager.RunAllThreaded() : manager.RunAll()).ok());
-    auto tasks = [&](const char* id) {
-      return manager.Get(id)->pipeline().state().out.metrics.mr_tasks;
+    auto counts = [&](const char* id) {
+      return counts_of(manager.Get(id)->pipeline().state().out.metrics);
     };
-    EXPECT_EQ(tasks("one"), solo1);
-    EXPECT_EQ(tasks("two"), solo2);
+    EXPECT_EQ(counts("one").tasks, solo1.tasks);
+    EXPECT_EQ(counts("two").tasks, solo2.tasks);
+    EXPECT_EQ(counts("one").intersect, solo1.intersect);
+    EXPECT_EQ(counts("two").intersect, solo2.intersect);
   }
 }
 
@@ -321,7 +336,7 @@ TEST(SessionManagerTest, SharedClusterSessionsReportTheirSoloTaskCounts) {
 TEST(TokenStoreBuildTest, OneTokenizeJobPerRunAndPerRehydrate) {
   auto count_jobs = [](const Cluster& cluster) {
     size_t n = 0;
-    for (const JobStats& job : cluster.job_history()) {
+    for (const JobStats& job : cluster.JobHistorySnapshot()) {
       n += job.name == "tokenize-stores";
     }
     return n;
