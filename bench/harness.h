@@ -128,8 +128,8 @@ class BenchReport {
 /// Adds the run's per-task load rollup (RunMetrics <- JobStats) to `report`
 /// under `prefix`: <prefix>/mr_tasks, /task_vtime_max_s, /task_vtime_mean_s,
 /// /task_vtime_p99_s, /straggler_ratio. A straggler ratio near 1.0 means the
-/// run's job phases were balanced; large values flag hot tasks the
-/// skew-aware partitioner exists to split.
+/// run's job phases were balanced; large values flag hot tasks, such as
+/// whole blocks the reduce plan was not allowed to split.
 void AddLoadMetrics(BenchReport* report, const std::string& prefix,
                     const RunMetrics& metrics);
 

@@ -27,12 +27,11 @@ int main(int argc, char** argv) {
   TablePrinter table({"Workload", "Nodes", "Machine time", "Unmasked machine",
                       "Total time", "Straggler", "F1(%)"});
   // Two curves: the original (mildly skewed) workload, and a Zipf-heavy
-  // variant whose hot blocking keys make node-count scaling flatten out
-  // unless the skew-aware partitioner splits them.
+  // variant whose hot blocking keys would flatten node-count scaling if the
+  // engine's reduce plan did not split them.
   for (const char* wl : {"uniform", "zipf"}) {
     WorkloadOptions opt = DatasetOptions(dataset, scale, seed);
-    bool zipf = std::string(wl) == "zipf";
-    if (zipf) opt.zipf_s = zipf_s;
+    if (std::string(wl) == "zipf") opt.zipf_s = zipf_s;
     auto data = GenerateByName(dataset, opt);
     for (int nodes : {5, 10, 15, 20}) {
       ClusterConfig ccfg = BenchClusterConfig(threads);
@@ -44,10 +43,6 @@ int main(int argc, char** argv) {
       // restores the compute-bound regime the paper's cluster operated in,
       // so the node-count scaling becomes visible.
       ccfg.core_speed_factor = 200.0;
-      // The skewed curve runs with the skew-aware shuffle on: this is the
-      // configuration a cloud deployment would use, and the straggler
-      // column shows what it buys.
-      if (zipf) ccfg.partitioner = ShufflePartitioner::kSkewAware;
       auto result = RunPipeline(*data, BenchFalconConfig(scale, seed),
                                 BenchCrowdConfig(0.05, seed), ccfg);
       if (!result.ok()) {

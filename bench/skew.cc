@@ -1,23 +1,19 @@
-// Skew-aware sharded blocking: load-balance A/B of the shuffle partitioners.
+// Skew-aware sharded blocking: reduce-load balance of the engine's planned
+// shuffle on skewed and uniform data.
 //
 // A Zipf-heavy vocabulary concentrates title tokens on a few head words, so
 // a handful of A rows own most of the candidate pairs after prefix
-// filtering; under the stable FNV shuffle whichever reduce partitions those
-// hot blocks hash to become stragglers. This bench builds a uniform and a
-// Zipf products workload, runs the index-backed blocking apply under both
-// partitioners, and reports the per-task reduce-load distribution (max /
-// mean / p99 task vtime, straggler ratio), the build-time BlockProfile the
-// split decisions key off, and the headline reduce-makespan speedup. It also
-// re-asserts the determinism contract: candidates must be byte-identical
-// across partitioners and across local_threads {1, 4}, or the bench exits
-// with an error.
-//
-// Acceptance shape: at high Zipf skew the skew partitioner's straggler
-// ratio is <= 1.2 and the FNV reduce makespan is >= 2x the skew one. The
-// uniform lane is the low-load control: with the same tables but a flat
-// vocabulary almost every pair is pruned, tasks are overhead-dominated, and
-// both partitioners land within measurement noise of each other — its value
-// is the byte-identity check, not the makespan numbers.
+// filtering. Every reduce phase goes through the reduce plan
+// (mapreduce/skew.h), which splits those hot blocks into pair ranges and
+// packs the shards largest-first onto the reduce tasks. This bench builds a
+// uniform and a Zipf products workload, runs the index-backed blocking apply
+// on each, and reports the per-task reduce-load distribution (reduce
+// makespan, max / mean / p99 task vtime, straggler ratio), the plan's shard
+// and split counts, and the build-time BlockProfile. The uniform lane is the
+// low-load control: almost every pair is pruned and tasks are
+// overhead-dominated. It also re-asserts the determinism contract:
+// candidates must be byte-identical across local_threads {1, 4}, or the
+// bench exits with an error.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -39,7 +35,7 @@ namespace {
 // One workload's fixed inputs: data, features, the single-rule blocking
 // sequence (low title similarity -> drop), and the prebuilt index catalog.
 // The catalog is built once on a throwaway cluster — index build happens
-// inside the crowd-masking window and is not part of the apply A/B.
+// inside the crowd-masking window and is not part of the measured apply.
 struct Setup {
   GeneratedDataset data;
   FeatureSet fs;
@@ -78,25 +74,21 @@ struct RunOutcome {
   bool ok = false;
 };
 
-RunOutcome RunOnce(const Setup& s, ShufflePartitioner part, int threads,
-                   int nodes, size_t budget) {
+RunOutcome RunOnce(const Setup& s, int threads, int nodes) {
   ClusterConfig ccfg = BenchClusterConfig(threads);
   ccfg.num_nodes = nodes;
-  ccfg.skew_pair_budget = budget;
   // Escape the startup-dominated regime (same calibration constant as the
   // cluster-size bench): slow virtual cores make the reduce phase
-  // compute-bound, so task placement — the thing the partitioner changes —
+  // compute-bound, so task placement — the thing the reduce plan decides —
   // is what the makespan measures.
   ccfg.core_speed_factor = 200.0;
-  ccfg.partitioner = part;
   Cluster cluster(ccfg);
   auto res = ApplyBlockingRules(s.data.a, s.data.b, s.seq, s.fs, s.catalog,
                                 &cluster, ApplyMethod::kApplyAll,
                                 ApplyOptions{});
   RunOutcome out;
   if (!res.ok()) {
-    std::fprintf(stderr, "apply failed (%s): %s\n",
-                 ShufflePartitionerName(part),
+    std::fprintf(stderr, "apply failed (threads=%d): %s\n", threads,
                  res.status().ToString().c_str());
     return out;
   }
@@ -116,19 +108,14 @@ int main(int argc, char** argv) {
   int nodes = static_cast<int>(flags.GetInt("nodes", 10));
   double zipf_s = flags.GetDouble("zipf", 2.2);
   double threshold = flags.GetDouble("threshold", 0.4);
-  // Pair budget per reduce shard (0 = auto: total/(bins*4)). The default
-  // oversubscribes harder than auto so residual bin imbalance stays small
-  // relative to the mean task vtime.
-  size_t budget = static_cast<size_t>(flags.GetInt("budget", 1000));
 
-  std::printf("=== Skew-aware sharded blocking: FNV vs skew partitioner ===\n");
+  std::printf("=== Skew-aware sharded blocking: planned reduce ===\n");
   BenchReport report("skew");
   report.Add("scale", scale);
   report.Add("threads", static_cast<int64_t>(threads));
   report.Add("nodes", static_cast<int64_t>(nodes));
   report.Add("zipf_s", zipf_s);
   report.Add("threshold", threshold);
-  report.Add("budget", static_cast<int64_t>(budget));
 
   WorkloadOptions base;
   // Few A rows over many B rows puts the apply job in the regime hashing
@@ -143,35 +130,27 @@ int main(int argc, char** argv) {
   report.Add("size_a", static_cast<int64_t>(base.size_a));
   report.Add("size_b", static_cast<int64_t>(base.size_b));
 
-  TablePrinter table({"Workload", "Partitioner", "Reduce makespan",
-                      "Max task", "Mean task", "Straggler", "Pairs"});
+  TablePrinter table({"Workload", "Reduce makespan", "Max task", "Mean task",
+                      "Straggler", "Shards", "Split blocks", "Pairs"});
   bool byte_identical = true;
-  double zipf_speedup = 0.0;
-  double zipf_skew_straggler = 0.0;
 
   for (const char* wl : {"uniform", "zipf"}) {
     WorkloadOptions opt = base;
     opt.zipf_s = (std::string(wl) == "zipf") ? zipf_s : 0.0;
     Setup s(opt, threshold);
 
-    RunOutcome fnv = RunOnce(s, ShufflePartitioner::kStableHash, threads,
-                             nodes, budget);
-    RunOutcome skew = RunOnce(s, ShufflePartitioner::kSkewAware, threads,
-                              nodes, budget);
-    if (!fnv.ok || !skew.ok) return 1;
-
-    // Determinism contract: both partitioners, serial and 4-thread, emit
-    // the same candidate bytes in the same order.
-    RunOutcome fnv1 = RunOnce(s, ShufflePartitioner::kStableHash, 1, nodes, budget);
-    RunOutcome skew1 = RunOnce(s, ShufflePartitioner::kSkewAware, 1, nodes, budget);
-    RunOutcome fnv4 = RunOnce(s, ShufflePartitioner::kStableHash, 4, nodes, budget);
-    RunOutcome skew4 = RunOnce(s, ShufflePartitioner::kSkewAware, 4, nodes, budget);
-    if (!fnv1.ok || !skew1.ok || !fnv4.ok || !skew4.ok) return 1;
-    for (const RunOutcome* o : {&skew, &fnv1, &skew1, &fnv4, &skew4}) {
-      if (fnv.result.pairs != o->result.pairs) byte_identical = false;
+    RunOutcome run = RunOnce(s, threads, nodes);
+    // Determinism contract: serial and 4-thread runs emit the same
+    // candidate bytes in the same order.
+    RunOutcome run1 = RunOnce(s, 1, nodes);
+    RunOutcome run4 = RunOnce(s, 4, nodes);
+    if (!run.ok || !run1.ok || !run4.ok) return 1;
+    if (run.result.pairs != run1.result.pairs ||
+        run.result.pairs != run4.result.pairs) {
+      byte_identical = false;
     }
 
-    const BlockProfile& prof = skew.result.index_profile;
+    const BlockProfile& prof = run.result.index_profile;
     std::string wls(wl);
     report.Add(wls + "/profile/num_blocks",
                static_cast<int64_t>(prof.num_blocks));
@@ -184,55 +163,34 @@ int main(int argc, char** argv) {
                static_cast<double>(prof.est_pairs));
     report.Add(wls + "/profile/skew", prof.skew);
 
-    struct Row {
-      const char* part;
-      const RunOutcome* o;
+    const JobStats& job = run.result.main_job;
+    const TaskLoadStats& load = job.reduce_load;
+    auto counter = [&job](const char* key) {
+      auto it = job.counters.find(key);
+      return it == job.counters.end() ? int64_t{0} : it->second;
     };
-    for (const Row& row : {Row{"fnv", &fnv}, Row{"skew", &skew}}) {
-      const JobStats& job = row.o->result.main_job;
-      const TaskLoadStats& load = job.reduce_load;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.1f", load.straggler_ratio);
-      table.AddRow({wls, row.part, job.reduce_time.ToString(),
-                    VDuration::Seconds(load.max_seconds).ToString(),
-                    VDuration::Seconds(load.mean_seconds).ToString(), buf,
-                    std::to_string(row.o->result.pairs.size())});
-      std::string base_key = wls + "/" + row.part;
-      report.Add(base_key + "/reduce_seconds", job.reduce_time.seconds);
-      report.Add(base_key + "/apply_seconds", row.o->result.time.seconds);
-      report.Add(base_key + "/pairs",
-                 static_cast<int64_t>(row.o->result.pairs.size()));
-      auto counter = [&job](const char* key) {
-        auto it = job.counters.find(key);
-        return it == job.counters.end() ? int64_t{0} : it->second;
-      };
-      report.Add(base_key + "/skew_shards", counter("skew/shards"));
-      report.Add(base_key + "/skew_split_blocks",
-                 counter("skew/split_blocks"));
-      AddLoadMetrics(&report, base_key + "/reduce", load);
-    }
-
-    double speedup = skew.result.main_job.reduce_time.seconds > 0.0
-                         ? fnv.result.main_job.reduce_time.seconds /
-                               skew.result.main_job.reduce_time.seconds
-                         : 1.0;
-    report.Add(wls + "/reduce_speedup", speedup);
-    if (wls == "zipf") {
-      zipf_speedup = speedup;
-      zipf_skew_straggler =
-          skew.result.main_job.reduce_load.straggler_ratio;
-    }
+    char straggler[64];
+    std::snprintf(straggler, sizeof(straggler), "%.2f",
+                  load.straggler_ratio);
+    table.AddRow({wls, job.reduce_time.ToString(),
+                  VDuration::Seconds(load.max_seconds).ToString(),
+                  VDuration::Seconds(load.mean_seconds).ToString(), straggler,
+                  std::to_string(counter("skew/shards")),
+                  std::to_string(counter("skew/split_blocks")),
+                  std::to_string(run.result.pairs.size())});
+    report.Add(wls + "/reduce_seconds", job.reduce_time.seconds);
+    report.Add(wls + "/apply_seconds", run.result.time.seconds);
+    report.Add(wls + "/pairs", static_cast<int64_t>(run.result.pairs.size()));
+    report.Add(wls + "/skew_shards", counter("skew/shards"));
+    report.Add(wls + "/skew_split_blocks", counter("skew/split_blocks"));
+    report.Add(wls + "/skew_budget", counter("skew/budget"));
+    AddLoadMetrics(&report, wls + "/reduce", load);
   }
 
   report.Add("byte_identical", static_cast<int64_t>(byte_identical ? 1 : 0));
   table.Print();
-  std::printf(
-      "\nZipf workload: skew partitioner straggler ratio %.2f, reduce "
-      "makespan speedup %.2fx over FNV.\n",
-      zipf_skew_straggler, zipf_speedup);
   if (!byte_identical) {
-    std::fprintf(stderr,
-                 "FAIL: candidates differ across partitioners/threads\n");
+    std::fprintf(stderr, "FAIL: candidates differ across local_threads\n");
     return 1;
   }
   report.Write();

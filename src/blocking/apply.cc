@@ -294,18 +294,12 @@ double MinRuleSelectivity(const RuleSequence& seq) {
   return s;
 }
 
-bool ShouldShipIds(const ApplyOptions& opts, const Cluster& cluster,
-                   const Table& b, const RuleSequence& seq) {
-  switch (opts.ship_ids) {
-    case ApplyOptions::ShipIds::kOn:
-      return true;
-    case ApplyOptions::ShipIds::kOff:
-      return false;
-    case ApplyOptions::ShipIds::kAuto:
-      break;
-  }
-  // Paper rule: only if an id index of B fits in reducer memory AND the rule
-  // sequence keeps enough pairs that the intermediate output is huge.
+/// Intermediate-output optimization (Section 7.3, optimization 2), the
+/// paper's rule: ship only B-row ids to reducers if an id index of B fits in
+/// reducer memory AND the rule sequence keeps enough pairs that the
+/// intermediate output is huge.
+bool ShipOnlyBRowIds(const Cluster& cluster, const Table& b,
+                   const RuleSequence& seq) {
   return b.MemoryUsage() <= cluster.config().reducer_memory_bytes &&
          MinRuleSelectivity(seq) >= 1e-4;
 }
@@ -352,7 +346,7 @@ Result<ApplyResult> RunKeyedByA(
     double map_setup_seconds) {
   ClauseProber prober(&catalog, &fs, a.num_rows());
   RuleApplier applier(seq, &fs, &a, &b);
-  bool ship_ids = ShouldShipIds(opts, *cluster, b, seq);
+  bool ship_ids = ShipOnlyBRowIds(*cluster, b, seq);
   const uint32_t b_bytes =
       ship_ids ? 8 : static_cast<uint32_t>(AvgRowBytes(b));
   const uint32_t a_bytes = static_cast<uint32_t>(AvgRowBytes(a));
@@ -360,19 +354,18 @@ Result<ApplyResult> RunKeyedByA(
   ApplyResult result;
   result.index_profile = catalog.MergedBlockProfile();
   // The reduce function is a pure per-value pass over one A-row's bucket, so
-  // the skew-aware partitioner may pair-range split hot A-rows. When that
-  // partitioner is on and the build-time profile flags block skew, also cut
-  // map splits finer: probe cost concentrates on rows carrying hot tokens,
-  // and smaller splits give the LPT scheduler room (output bytes are
-  // invariant to the split count — emitters merge in split order).
+  // the reduce plan may pair-range split hot A-rows. When the build-time
+  // profile flags block skew, also cut map splits finer: probe cost
+  // concentrates on rows carrying hot tokens, and smaller splits give the LPT
+  // scheduler room (output bytes are invariant to the split count — emitters
+  // merge in split order).
   JobOptions jopts{.name = name,
                    .map_setup_seconds = map_setup_seconds,
                    .splittable_reduce = true};
-  if (cluster->config().partitioner == ShufflePartitioner::kSkewAware &&
-      result.index_profile.skew >= 2.0) {
+  if (result.index_profile.skew >= 2.0) {
     jopts.num_splits = static_cast<size_t>(4 * cluster->total_map_slots());
   }
-  // Reduce partitions run concurrently; the examined-pairs tally is atomic.
+  // Reduce tasks run concurrently; the examined-pairs tally is atomic.
   std::atomic<size_t> candidates_examined{0};
   auto input = InterleavedInput(a.num_rows(), b.num_rows());
   auto job = RunMapReduce<TaggedRow, RowId, ShuffleVal, CandidatePair>(
@@ -432,7 +425,7 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
                                    double map_setup_seconds) {
   ClauseProber prober(&catalog, &fs, a.num_rows());
   RuleApplier applier(seq, &fs, &a, &b);
-  bool ship_ids = ShouldShipIds(opts, *cluster, b, seq);
+  bool ship_ids = ShipOnlyBRowIds(*cluster, b, seq);
   const uint32_t pair_bytes =
       ship_ids ? 12 : static_cast<uint32_t>(AvgRowBytes(a) + AvgRowBytes(b));
 
@@ -460,8 +453,7 @@ Result<ApplyResult> RunKeyedByPair(const Table& a, const Table& b,
   std::atomic<size_t> candidates_examined{0};
   // Keyed by pair: buckets are tiny (one per surviving pair) but the reduce
   // reads vals[0] and aggregates a clause mask over the whole bucket, so it
-  // is NOT splittable; the skew-aware partitioner still bin-packs whole
-  // blocks.
+  // is NOT splittable; the reduce plan still bin-packs whole blocks.
   auto job = RunMapReduce<UnitRow, uint64_t, ShuffleVal, CandidatePair>(
       cluster, input, {.name = name, .map_setup_seconds = map_setup_seconds},
       [&](const UnitRow& rec, Emitter<uint64_t, ShuffleVal>* em) {
@@ -622,7 +614,7 @@ Result<ApplyResult> RunReduceSplit(const Table& a, const Table& b,
   for (RowId r = 0; r < input.size(); ++r) input[r] = r;
   ApplyResult result;
   // The reduce is a pure per-value (per-B-row) pass over one A-block, so
-  // hot blocks may be pair-range split by the skew-aware partitioner.
+  // the reduce plan may pair-range split hot blocks.
   auto job = RunMapReduce<RowId, uint32_t, ShuffleVal, CandidatePair>(
       cluster, input, {.name = "ReduceSplit", .splittable_reduce = true},
       [&](const RowId& b_row, Emitter<uint32_t, ShuffleVal>* em) {

@@ -3,7 +3,7 @@
 // The in-process MapReduce engine (src/mapreduce/job.h) simulates a Hadoop
 // cluster: parallelism used to exist only on the virtual clock, with every
 // task executed serially on one local core. This pool supplies the missing
-// physical parallelism: map splits and reduce partitions become tasks that
+// physical parallelism: map splits and planned reduce bins become tasks that
 // worker threads claim from a shared atomic cursor.
 //
 // Scheduling is work-stealing-friendly rather than statically partitioned:
@@ -11,7 +11,7 @@
 // its task immediately "steals" the next unclaimed index instead of idling
 // behind a static assignment — the same dynamic load balancing a deque-based
 // stealing scheduler provides, at far lower complexity for the coarse tasks
-// (whole map splits / reduce partitions) the engine produces.
+// (whole map splits / planned reduce bins) the engine produces.
 //
 // The calling thread participates in every ParallelFor, so a pool of N
 // threads means N-1 workers plus the caller, and a ParallelFor can never

@@ -103,7 +103,8 @@ struct RunMetrics {
   /// cluster, nor earlier runs' on a reused one (resumed runs see only this
   /// process's jobs; Rehydrate's rebuild jobs are not counted). The straggler
   /// ratio is the worst single phase's max/mean task vtime — the skew
-  /// headline the skew-aware partitioner exists to push toward 1.0.
+  /// headline the engine's reduce plan (mapreduce/skew.h) pushes toward 1.0
+  /// by splitting hot blocks.
   /// Diagnostics only, never serialized.
   size_t mr_tasks = 0;          ///< map + reduce tasks across all jobs
   double task_vtime_max = 0.0;  ///< hottest single task, virtual seconds

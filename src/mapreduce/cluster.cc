@@ -7,16 +7,6 @@
 
 namespace falcon {
 
-const char* ShufflePartitionerName(ShufflePartitioner p) {
-  switch (p) {
-    case ShufflePartitioner::kStableHash:
-      return "fnv";
-    case ShufflePartitioner::kSkewAware:
-      return "skew";
-  }
-  return "unknown";
-}
-
 Cluster::Cluster(ClusterConfig config) : config_(config) {}
 
 Cluster::~Cluster() = default;

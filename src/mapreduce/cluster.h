@@ -10,7 +10,9 @@
 // (Section 11.4) and the crowd-time masking scheduler (Section 10.2) consume
 // these virtual durations. The cluster also owns the local execution
 // resources every job shares: the thread pool that runs tasks and the pool
-// of task arenas their buffers live in (mapreduce/job.h).
+// of task arenas their buffers live in (mapreduce/job.h). Reduce placement
+// is not configured here: the engine plans every reduce phase from the
+// exact block weights its shuffle sees (mapreduce/skew.h).
 #ifndef FALCON_MAPREDUCE_CLUSTER_H_
 #define FALCON_MAPREDUCE_CLUSTER_H_
 
@@ -29,25 +31,6 @@
 namespace falcon {
 
 class ThreadPool;
-
-/// How the shuffle assigns reduce work to partitions.
-enum class ShufflePartitioner {
-  /// Stable FNV-1a key hash, partition = hash % R. Stateless and
-  /// byte-stable across platforms; the default. Vulnerable to hot blocks:
-  /// one oversized key group lands on a single reduce task.
-  kStableHash,
-  /// Skew-aware plan (mapreduce/skew.h): after the map-side merge the
-  /// engine knows every block's exact weight, splits blocks above a pair
-  /// budget into contiguous pair ranges (jobs that declare their reduce
-  /// function splittable), and packs shards onto partitions greedy
-  /// largest-first. Outputs are byte-identical to kStableHash — shard
-  /// results are concatenated in the canonical (block, pair-range) order
-  /// the hash path reduces in. Serial-ordered jobs ignore this and keep
-  /// the hash path.
-  kSkewAware,
-};
-
-const char* ShufflePartitionerName(ShufflePartitioner p);
 
 /// Static description of the simulated cluster.
 struct ClusterConfig {
@@ -79,11 +62,6 @@ struct ClusterConfig {
   /// measured with thread CPU time). 0 = hardware_concurrency, 1 = the exact
   /// legacy serial path (no thread pool is created).
   int local_threads = 0;
-  /// Shuffle partitioning strategy; see ShufflePartitioner.
-  ShufflePartitioner partitioner = ShufflePartitioner::kStableHash;
-  /// Pair budget per reduce task for hot-block splitting under kSkewAware.
-  /// 0 derives it from the stage's total weight (AutoPairBudget).
-  size_t skew_pair_budget = 0;
 };
 
 /// Per-task load distribution of one job phase, on the virtual clock

@@ -5,17 +5,20 @@
 // to a virtual makespan by Cluster::ScheduleMakespan, so the same execution
 // yields both correct results and cluster-calibrated virtual durations.
 //
-// Execution is genuinely multi-threaded: map splits and reduce partitions
-// run concurrently on the cluster's shared thread pool (see
+// Execution is genuinely multi-threaded: map splits and reduce tasks run
+// concurrently on the cluster's shared thread pool (see
 // ClusterConfig::local_threads; 1 selects the exact legacy serial path).
-// Two contracts are preserved regardless of thread count:
+// The reduce phase has one path: the shuffle groups keys into blocks, and a
+// plan (mapreduce/skew.h) splits hot blocks into pair ranges and packs the
+// work largest-first onto the reduce tasks. Two contracts are preserved
+// regardless of thread count:
 //
 //   Determinism — each split owns a private Emitter; emitted pairs are merged
-//   into shuffle partitions in split-index order and reduce outputs are
-//   concatenated in partition order, so a parallel run is byte-identical to
-//   a serial run. Partitioning uses a stable FNV-1a key hash (not the
-//   implementation-defined std::hash), so partition assignment and output
-//   order are also identical across standard libraries.
+//   into shuffle partitions in split-index order, blocks are enumerated by
+//   stable FNV-1a key hash partition (not the implementation-defined
+//   std::hash), and reduce output fragments are concatenated in that
+//   canonical block order, so a parallel run is byte-identical to a serial
+//   run.
 //
 //   Virtual time — per-task seconds are measured with per-thread CPU time
 //   (CLOCK_THREAD_CPUTIME_ID), so concurrently running tasks do not inflate
@@ -134,26 +137,31 @@ class Emitter {
   Counters counters_;
 };
 
-/// Options controlling split/partition counts and virtual setup cost.
+/// Options controlling split/reduce-task counts and virtual setup cost.
 struct JobOptions {
   std::string name = "job";
   /// Number of input splits; 0 = 2 tasks per map slot.
   size_t num_splits = 0;
-  /// Number of reduce partitions; 0 = one per reduce slot.
+  /// Number of reduce bins, the most reduce tasks the plan may fill; 0 = one
+  /// per reduce slot.
   size_t num_reducers = 0;
   /// Virtual seconds charged to every map task before user code, modeling
   /// e.g. loading filter indexes into mapper memory (map-setup of
   /// Algorithm 1).
   double map_setup_seconds = 0.0;
-  /// Forces this job onto the serial in-order path even when the cluster has
-  /// a thread pool. Set for jobs whose map/reduce functions mutate shared
+  /// Runs every task inline on the calling thread even when the cluster has
+  /// a thread pool: map splits in split order, then the planned reduce tasks
+  /// in task order. Set for jobs whose map/reduce functions mutate shared
   /// state in input order (e.g. index construction, reservoir sampling).
+  /// Reduce tasks visit keys bin by bin, not in key or hash order, so a
+  /// serial reduce must not depend on the order it sees keys in; the one
+  /// serial MapReduce job, token-freq, writes a distinct freq[id] per key.
   bool serial = false;
   /// The reduce function is a pure per-value map: calling it on contiguous
   /// sub-ranges of one key's value list and concatenating the fragment
   /// outputs in range order is byte-identical to one call on the full list.
-  /// Only such jobs let the skew-aware partitioner pair-range split hot
-  /// blocks; others are still bin-packed whole (never split).
+  /// Only such jobs have hot blocks pair-range split; others are still
+  /// bin-packed whole (never split).
   bool splittable_reduce = false;
 };
 
@@ -220,7 +228,7 @@ inline std::vector<std::pair<size_t, size_t>> JobSplits(
                            : static_cast<size_t>(2 * cluster.total_map_slots()));
 }
 
-/// Stable shuffle hash: identical partition assignment on every platform and
+/// Stable shuffle hash: identical canonical block order on every platform and
 /// standard library, unlike std::hash.
 template <typename K>
 uint64_t StableKeyHash(const K& k) {
@@ -338,9 +346,9 @@ class TaskRunner {
 /// `map_fn(item, emitter)` is invoked once per input item;
 /// `reduce_fn(key, values, output)` once per distinct key.
 ///
-/// Unless `opts.serial` is set, map splits (and then reduce partitions) run
+/// Unless `opts.serial` is set, map splits (and then reduce tasks) run
 /// concurrently on the cluster's thread pool; map_fn/reduce_fn must then be
-/// safe to call from multiple threads for *distinct* splits/partitions —
+/// safe to call from multiple threads for *distinct* splits/keys —
 /// i.e. they may freely use their arguments and read shared state, but any
 /// writes to captured state must be disjoint per input index or atomic.
 template <typename InT, typename K, typename V, typename OutT>
@@ -400,7 +408,8 @@ JobOutput<OutT> RunMapReduce(
           for (auto& [counter, v] : emitter.counters()) {
             stats.counters[counter] += v;
           }
-          // Partition the emitted pairs by stable key hash (the shuffle).
+          // Group the emitted pairs into key blocks (the shuffle); the
+          // stable key hash fixes the canonical block order.
           for (auto& [k, v] : emitter.pairs()) {
             size_t p = internal::StableKeyHash(k) % num_reducers;
             auto [it, inserted] =
@@ -420,130 +429,92 @@ JobOutput<OutT> RunMapReduce(
   stats.shuffle_time = cluster->ShuffleTime(stats.intermediate_bytes);
 
   // --- reduce phase ---
-  // Hash path: non-empty partitions become reduce tasks; each writes a
-  // private output vector, concatenated in partition order afterwards.
-  // Skew-aware path: the same blocks are re-planned into budget-capped shards
-  // packed largest-first onto bins (see below); output bytes are identical
-  // either way.
-  std::vector<double> reduce_task_seconds;
-  const bool skew_aware =
-      cluster->config().partitioner == ShufflePartitioner::kSkewAware &&
-      !opts.serial;
-  if (!skew_aware) {
-    std::vector<size_t> active;
-    active.reserve(partitions.size());
-    for (size_t p = 0; p < partitions.size(); ++p) {
-      if (!partitions[p].empty()) active.push_back(p);
+  // Blocks are enumerated in canonical order — stable-hash partition index,
+  // then that partition's iteration order — and planned into shards
+  // (mapreduce/skew.h): blocks above the auto pair budget are pair-range
+  // split when the job declared its reduce splittable, and shards are packed
+  // largest-first onto num_reducers bins. Exact block weights are free here
+  // (the shuffle is in-process). Each bin with work is one reduce task; each
+  // shard writes a private output fragment, and fragments are concatenated
+  // in canonical shard order, so the output bytes depend on neither the
+  // packing nor the thread count.
+  struct BlockRef {
+    const K* key;
+    ValueList<V>* values;
+  };
+  std::vector<BlockRef> blocks;
+  std::vector<size_t> weights;
+  for (auto& groups : partitions) {
+    for (auto& [key, values] : groups) {
+      blocks.push_back(BlockRef{&key, &values});
+      weights.push_back(values.size());
     }
-    internal::TaskRunner reduce_tasks(cluster, active.size());
-    std::vector<TaskVector<OutT>> outputs;
-    outputs.reserve(active.size());
-    for (size_t t = 0; t < active.size(); ++t) {
-      outputs.emplace_back(ArenaAllocator<OutT>(reduce_tasks.arena(t)));
-    }
-    reduce_task_seconds = reduce_tasks.Run(
-        opts.serial,
-        [&](size_t t) {
-          for (auto& [key, values] : partitions[active[t]]) {
-            reduce_fn(key, values, &outputs[t]);
-          }
-        },
-        &stats.counters);
-    for (auto& out : outputs) {
-      result.output.insert(result.output.end(),
-                           std::make_move_iterator(out.begin()),
-                           std::make_move_iterator(out.end()));
-    }
-    stats.num_reduce_tasks = active.size();
-  } else {
-    // Skew-aware reduce. Blocks are enumerated in the exact order the hash
-    // path reduces them — partition index, then that partition's iteration
-    // order — so the canonical shard sequence reproduces the hash path's
-    // output byte stream when fragments are concatenated in shard order.
-    // Exact block weights are free here (the shuffle is in-process); the
-    // index-build profile (InvertedIndex::profile) predicts this skew ahead
-    // of time for planning/observability.
-    struct BlockRef {
-      const K* key;
-      ValueList<V>* values;
-    };
-    std::vector<BlockRef> blocks;
-    std::vector<size_t> weights;
-    for (auto& groups : partitions) {
-      for (auto& [key, values] : groups) {
-        blocks.push_back(BlockRef{&key, &values});
-        weights.push_back(values.size());
-      }
-    }
-    const ShardPlan plan =
-        PlanReduceShards(weights, num_reducers,
-                         cluster->config().skew_pair_budget,
-                         opts.splittable_reduce);
-    size_t split_blocks = 0;
-    for (size_t s = 0; s + 1 < plan.shards.size(); ++s) {
-      if (plan.shards[s].block == plan.shards[s + 1].block &&
-          (s == 0 || plan.shards[s].block != plan.shards[s - 1].block)) {
-        ++split_blocks;
-      }
-    }
-    stats.counters["skew/shards"] += static_cast<int64_t>(plan.shards.size());
-    stats.counters["skew/split_blocks"] += static_cast<int64_t>(split_blocks);
-    stats.counters["skew/budget"] += static_cast<int64_t>(plan.budget);
-
-    // Bins with work become reduce tasks, in bin-index order.
-    std::vector<std::vector<size_t>> bin_shards(num_reducers);
-    for (size_t s = 0; s < plan.shards.size(); ++s) {
-      bin_shards[plan.bin_of[s]].push_back(s);
-    }
-    std::vector<size_t> active;
-    std::vector<size_t> task_of_bin(num_reducers, 0);
-    for (size_t b = 0; b < num_reducers; ++b) {
-      if (!bin_shards[b].empty()) {
-        task_of_bin[b] = active.size();
-        active.push_back(b);
-      }
-    }
-    internal::TaskRunner reduce_tasks(cluster, active.size());
-    // One output fragment per shard, drawing from the owning task's arena;
-    // fragments are only ever touched by that one task.
-    std::vector<TaskVector<OutT>> fragments;
-    fragments.reserve(plan.shards.size());
-    for (size_t s = 0; s < plan.shards.size(); ++s) {
-      fragments.emplace_back(ArenaAllocator<OutT>(
-          reduce_tasks.arena(task_of_bin[plan.bin_of[s]])));
-    }
-    reduce_task_seconds = reduce_tasks.Run(
-        opts.serial,
-        [&](size_t t) {
-          for (size_t s : bin_shards[active[t]]) {
-            const ReduceShard& shard = plan.shards[s];
-            const BlockRef& block = blocks[shard.block];
-            TaskVector<OutT>* out = &fragments[s];
-            if (shard.begin == 0 && shard.end == block.values->size()) {
-              reduce_fn(*block.key, *block.values, out);
-            } else {
-              // Split shard: materialize the contiguous value sub-range on
-              // this task's arena. The copy is charged to the task — it
-              // models the extra shuffle traffic a real engine pays to fan a
-              // hot block out across reducers.
-              ValueList<V> slice(ArenaAllocator<V>(reduce_tasks.arena(t)));
-              slice.reserve(shard.end - shard.begin);
-              for (size_t i = shard.begin; i < shard.end; ++i) {
-                slice.push_back((*block.values)[i]);
-              }
-              reduce_fn(*block.key, slice, out);
-            }
-          }
-        },
-        &stats.counters);
-    // Canonical shard order == the hash path's (block, pair-range) order.
-    for (auto& frag : fragments) {
-      result.output.insert(result.output.end(),
-                           std::make_move_iterator(frag.begin()),
-                           std::make_move_iterator(frag.end()));
-    }
-    stats.num_reduce_tasks = active.size();
   }
+  const ShardPlan plan = PlanReduceShards(weights, num_reducers,
+                                          /*budget=*/0, opts.splittable_reduce);
+  size_t split_blocks = 0;
+  for (size_t s = 0; s + 1 < plan.shards.size(); ++s) {
+    if (plan.shards[s].block == plan.shards[s + 1].block &&
+        (s == 0 || plan.shards[s].block != plan.shards[s - 1].block)) {
+      ++split_blocks;
+    }
+  }
+  stats.counters["skew/shards"] += static_cast<int64_t>(plan.shards.size());
+  stats.counters["skew/split_blocks"] += static_cast<int64_t>(split_blocks);
+  stats.counters["skew/budget"] += static_cast<int64_t>(plan.budget);
+
+  // Bins with work become reduce tasks, in bin-index order.
+  std::vector<std::vector<size_t>> bin_shards(num_reducers);
+  for (size_t s = 0; s < plan.shards.size(); ++s) {
+    bin_shards[plan.bin_of[s]].push_back(s);
+  }
+  std::vector<size_t> active;
+  std::vector<size_t> task_of_bin(num_reducers, 0);
+  for (size_t b = 0; b < num_reducers; ++b) {
+    if (!bin_shards[b].empty()) {
+      task_of_bin[b] = active.size();
+      active.push_back(b);
+    }
+  }
+  internal::TaskRunner reduce_tasks(cluster, active.size());
+  // One output fragment per shard, drawing from the owning task's arena;
+  // fragments are only ever touched by that one task.
+  std::vector<TaskVector<OutT>> fragments;
+  fragments.reserve(plan.shards.size());
+  for (size_t s = 0; s < plan.shards.size(); ++s) {
+    fragments.emplace_back(ArenaAllocator<OutT>(
+        reduce_tasks.arena(task_of_bin[plan.bin_of[s]])));
+  }
+  const std::vector<double> reduce_task_seconds = reduce_tasks.Run(
+      opts.serial,
+      [&](size_t t) {
+        for (size_t s : bin_shards[active[t]]) {
+          const ReduceShard& shard = plan.shards[s];
+          const BlockRef& block = blocks[shard.block];
+          TaskVector<OutT>* out = &fragments[s];
+          if (shard.begin == 0 && shard.end == block.values->size()) {
+            reduce_fn(*block.key, *block.values, out);
+          } else {
+            // Split shard: materialize the contiguous value sub-range on
+            // this task's arena. The copy is charged to the task — it
+            // models the extra shuffle traffic a real engine pays to fan a
+            // hot block out across reducers.
+            ValueList<V> slice(ArenaAllocator<V>(reduce_tasks.arena(t)));
+            slice.reserve(shard.end - shard.begin);
+            for (size_t i = shard.begin; i < shard.end; ++i) {
+              slice.push_back((*block.values)[i]);
+            }
+            reduce_fn(*block.key, slice, out);
+          }
+        }
+      },
+      &stats.counters);
+  for (auto& frag : fragments) {
+    result.output.insert(result.output.end(),
+                         std::make_move_iterator(frag.begin()),
+                         std::make_move_iterator(frag.end()));
+  }
+  stats.num_reduce_tasks = active.size();
   stats.reduce_time = cluster->ScheduleMakespan(
       reduce_task_seconds, cluster->total_reduce_slots());
   stats.reduce_load = cluster->ComputeTaskLoad(reduce_task_seconds);

@@ -66,30 +66,13 @@ ShardPlan PlanReduceShards(const std::vector<size_t>& weights, size_t bins,
   using Bin = std::pair<size_t, size_t>;  // (load, bin index)
   std::priority_queue<Bin, std::vector<Bin>, std::greater<Bin>> heap;
   for (size_t i = 0; i < bins; ++i) heap.push({0, i});
-  std::vector<size_t> loads(bins, 0);
   for (size_t s : order) {
     auto [bin_load, bin] = heap.top();
     heap.pop();
     plan.bin_of[s] = bin;
-    loads[bin] = bin_load + plan.shards[s].weight();
-    heap.push({loads[bin], bin});
-  }
-  for (size_t bin_load : loads) {
-    plan.max_bin_weight = std::max(plan.max_bin_weight, bin_load);
-    if (bin_load > 0) ++plan.active_bins;
+    heap.push({bin_load + plan.shards[s].weight(), bin});
   }
   return plan;
-}
-
-double PlanStragglerRatio(const ShardPlan& plan,
-                          const std::vector<size_t>& weights) {
-  if (plan.active_bins == 0) return 1.0;
-  const size_t total =
-      std::accumulate(weights.begin(), weights.end(), size_t{0});
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(plan.active_bins);
-  if (mean <= 0.0) return 1.0;
-  return static_cast<double>(plan.max_bin_weight) / mean;
 }
 
 }  // namespace falcon

@@ -343,6 +343,71 @@ TEST(ParallelMapReduceTest, SerialOptOutRunsWithoutPool) {
   EXPECT_EQ(run(true), run(false));
 }
 
+// A hot key owns a third of the values. Declaring the per-value reduce
+// splittable lets the reduce plan cut that block into pair ranges; the output
+// must stay byte-identical, order included, to reducing it whole, at every
+// thread count.
+TEST(ParallelMapReduceTest, SplitHotKeyMatchesUnsplitOutput) {
+  std::vector<int> input(3000);
+  std::iota(input.begin(), input.end(), 0);
+  auto run = [&](bool splittable, int threads) {
+    Cluster cluster(ThreadedConfig(threads));
+    return RunMapReduce<int, int, int, std::pair<int, int>>(
+        &cluster, input,
+        {.name = "hot-key", .num_splits = 8, .splittable_reduce = splittable},
+        [](const int& v, Emitter<int, int>* em) {
+          em->Emit(v % 3 == 0 ? 0 : v % 101, v);
+        },
+        [](const int& k, const ValueList<int>& vals,
+           TaskVector<std::pair<int, int>>* out) {
+          for (int v : vals) out->emplace_back(k, 2 * v);
+        });
+  };
+  const auto whole = run(false, 1);
+  ASSERT_EQ(whole.output.size(), input.size());
+  EXPECT_EQ(whole.stats.counters.at("skew/split_blocks"), 0);
+  for (int threads : {1, 4}) {
+    const auto split = run(true, threads);
+    EXPECT_GT(split.stats.counters.at("skew/split_blocks"), 0)
+        << "threads=" << threads;
+    EXPECT_EQ(whole.output, split.output) << "threads=" << threads;
+    EXPECT_EQ(whole.output, run(false, threads).output)
+        << "threads=" << threads;
+  }
+}
+
+// A serial job's reduce runs inline in planned task order and may mutate
+// shared state: every key must be reduced exactly once, with the same
+// output as the pooled run.
+TEST(ParallelMapReduceTest, SerialReduceVisitsEachKeyOnce) {
+  constexpr int kKeys = 53;
+  std::vector<int> input(2000);
+  std::iota(input.begin(), input.end(), 0);
+  auto run = [&](bool serial, std::vector<int>* visits) {
+    Cluster cluster(ThreadedConfig(4));
+    return RunMapReduce<int, int, int, std::pair<int, int>>(
+               &cluster, input,
+               {.name = "serial-reduce",
+                .num_splits = 8,
+                .num_reducers = 7,
+                .serial = serial},
+               [](const int& v, Emitter<int, int>* em) {
+                 em->Emit(v % kKeys, v);
+               },
+               [visits](const int& k, const ValueList<int>& vals,
+                        TaskVector<std::pair<int, int>>* out) {
+                 ++(*visits)[k];
+                 out->emplace_back(k, static_cast<int>(vals.size()));
+               })
+        .output;
+  };
+  std::vector<int> serial_visits(kKeys, 0);
+  const auto serial = run(true, &serial_visits);
+  EXPECT_EQ(serial_visits, std::vector<int>(kKeys, 1));
+  std::vector<int> pooled_visits(kKeys, 0);
+  EXPECT_EQ(serial, run(false, &pooled_visits));
+}
+
 TEST(ParallelMapReduceTest, MeasureSecondsUsesThreadCpuTime) {
   // Sleeping burns wall time but no CPU; the thread-CPU clock keeps the
   // virtual bill near zero, which is what makes concurrent execution safe

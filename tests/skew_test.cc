@@ -1,7 +1,8 @@
 // Skew-aware shuffle: planner unit tests plus the determinism property —
-// the skew partitioner's outputs must be byte-identical to the stable FNV
-// path, serial and threaded, for the blocking operators and for both plan
-// templates end to end.
+// the planned reduce's outputs must be byte-identical between serial and
+// threaded runs, for the blocking operators and for both plan templates end
+// to end, and the operators' candidate sets must equal the MapSide
+// enumeration's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,37 @@ namespace falcon {
 namespace {
 
 // --- planner units ---------------------------------------------------------------
+
+// Pair load of each of `bins` bins under `plan`.
+std::vector<size_t> BinLoads(const ShardPlan& plan, size_t bins) {
+  std::vector<size_t> loads(bins, 0);
+  for (size_t s = 0; s < plan.shards.size(); ++s) {
+    loads[plan.bin_of[s]] += plan.shards[s].weight();
+  }
+  return loads;
+}
+
+size_t ActiveBins(const std::vector<size_t>& loads) {
+  return static_cast<size_t>(
+      std::count_if(loads.begin(), loads.end(), [](size_t l) { return l > 0; }));
+}
+
+// max/mean load over the bins that received work.
+double StragglerRatio(const std::vector<size_t>& loads) {
+  const size_t total = std::accumulate(loads.begin(), loads.end(), size_t{0});
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(ActiveBins(loads));
+  return static_cast<double>(*std::max_element(loads.begin(), loads.end())) /
+         mean;
+}
+
+// True when every shard of `plan` covers its whole block.
+bool AllShardsWhole(const ShardPlan& plan, const std::vector<size_t>& weights) {
+  for (const auto& s : plan.shards) {
+    if (s.weight() != weights[s.block]) return false;
+  }
+  return true;
+}
 
 TEST(SplitBlockTest, EmptyBlockProducesNoShards) {
   EXPECT_TRUE(SplitBlock(3, 0, 10).empty());
@@ -79,8 +111,8 @@ TEST(AutoPairBudgetTest, SpreadsTotalOverOversubscribedBins) {
 TEST(PlanReduceShardsTest, EmptyWeightsMakeEmptyPlan) {
   ShardPlan plan = PlanReduceShards({}, 8, 0, true);
   EXPECT_TRUE(plan.shards.empty());
-  EXPECT_EQ(plan.active_bins, 0u);
-  EXPECT_EQ(PlanStragglerRatio(plan, {}), 1.0);
+  EXPECT_TRUE(plan.bin_of.empty());
+  EXPECT_EQ(ActiveBins(BinLoads(plan, 8)), 0u);
 }
 
 TEST(PlanReduceShardsTest, ZeroWeightBlocksProduceNoShards) {
@@ -99,31 +131,35 @@ TEST(PlanReduceShardsTest, AllEqualBlocksBalancePerfectlyWithoutSplits) {
   // auto budget = ceil(160 / 16) = 10: blocks are exactly at budget, so
   // none split.
   ASSERT_EQ(plan.shards.size(), 16u);
-  for (const auto& s : plan.shards) EXPECT_TRUE(s.whole_block());
-  EXPECT_EQ(plan.active_bins, 4u);
-  EXPECT_EQ(plan.max_bin_weight, 40u);
-  EXPECT_DOUBLE_EQ(PlanStragglerRatio(plan, weights), 1.0);
+  EXPECT_TRUE(AllShardsWhole(plan, weights));
+  const std::vector<size_t> loads = BinLoads(plan, 4);
+  EXPECT_EQ(ActiveBins(loads), 4u);
+  EXPECT_EQ(*std::max_element(loads.begin(), loads.end()), 40u);
+  EXPECT_DOUBLE_EQ(StragglerRatio(loads), 1.0);
 }
 
 TEST(PlanReduceShardsTest, OneGiantBlockSplitsAcrossAllBins) {
-  // One hot block owning ~all weight: the FNV hash would put it on one
-  // task; the planner must spread it over every bin.
+  // One hot block owning ~all weight: hashing keys to tasks would put it on
+  // one task; the planner must spread it over every bin.
   std::vector<size_t> weights = {1000, 1, 1, 1};
   ShardPlan plan = PlanReduceShards(weights, 4, 0, true);
   EXPECT_GT(plan.shards.size(), 4u);
-  EXPECT_EQ(plan.active_bins, 4u);
+  const std::vector<size_t> loads = BinLoads(plan, 4);
+  EXPECT_EQ(ActiveBins(loads), 4u);
   // Critical path shrinks from 1000 to ~1000/4.
-  EXPECT_LE(plan.max_bin_weight, 1000u / 4 + plan.budget);
-  EXPECT_LE(PlanStragglerRatio(plan, weights), 1.2);
+  EXPECT_LE(*std::max_element(loads.begin(), loads.end()),
+            1000u / 4 + plan.budget);
+  EXPECT_LE(StragglerRatio(loads), 1.2);
 }
 
 TEST(PlanReduceShardsTest, UnsplittableGiantBlockStaysWhole) {
   std::vector<size_t> weights = {1000, 1, 1, 1};
   ShardPlan plan = PlanReduceShards(weights, 4, 0, false);
   ASSERT_EQ(plan.shards.size(), 4u);
-  for (const auto& s : plan.shards) EXPECT_TRUE(s.whole_block());
+  EXPECT_TRUE(AllShardsWhole(plan, weights));
   // Bin packing alone cannot beat the hot block's own weight.
-  EXPECT_EQ(plan.max_bin_weight, 1000u);
+  const std::vector<size_t> loads = BinLoads(plan, 4);
+  EXPECT_EQ(*std::max_element(loads.begin(), loads.end()), 1000u);
 }
 
 TEST(PlanReduceShardsTest, ShardsStayInCanonicalOrder) {
@@ -142,8 +178,7 @@ TEST(PlanReduceShardsTest, ShardsStayInCanonicalOrder) {
 TEST(PlanReduceShardsTest, SingleBinTakesEverything) {
   std::vector<size_t> weights = {50, 7, 12};
   ShardPlan plan = PlanReduceShards(weights, 1, 0, true);
-  EXPECT_EQ(plan.active_bins, 1u);
-  EXPECT_EQ(plan.max_bin_weight, 69u);
+  EXPECT_EQ(BinLoads(plan, 1), std::vector<size_t>{69});
   for (size_t bin : plan.bin_of) EXPECT_EQ(bin, 0u);
 }
 
@@ -153,7 +188,7 @@ TEST(PlanReduceShardsTest, PlanIsAPureFunctionOfItsInputs) {
   ShardPlan b = PlanReduceShards(weights, 5, 0, true);
   EXPECT_EQ(a.shards, b.shards);
   EXPECT_EQ(a.bin_of, b.bin_of);
-  EXPECT_EQ(a.max_bin_weight, b.max_bin_weight);
+  EXPECT_EQ(a.budget, b.budget);
 }
 
 // --- operator-level determinism -------------------------------------------------
@@ -166,7 +201,7 @@ ClusterConfig FastCluster() {
 }
 
 // Zipf-heavy products and the title-similarity rule: hot tokens make hot
-// A-row blocks, so the skew path actually splits (asserted below) instead
+// A-row blocks, so the reduce plan actually splits (asserted below) instead
 // of degenerating into the no-split case.
 struct SkewFixture {
   GeneratedDataset data;
@@ -203,9 +238,8 @@ struct SkewFixture {
     builder.Ensure(IndexBuilder::NeedsOfCnf(ToCnf(seq), fs), &catalog);
   }
 
-  ApplyResult Run(ApplyMethod m, ShufflePartitioner part, int threads) {
+  ApplyResult Run(ApplyMethod m, int threads) {
     ClusterConfig cfg = FastCluster();
-    cfg.partitioner = part;
     cfg.local_threads = threads;
     Cluster cluster(cfg);
     auto res = ApplyBlockingRules(data.a, data.b, seq, fs, catalog, &cluster,
@@ -219,22 +253,26 @@ struct SkewFixture {
 class SkewPartitionerEquivalence
     : public ::testing::TestWithParam<ApplyMethod> {};
 
-TEST_P(SkewPartitionerEquivalence, ByteIdenticalToFnvPath) {
+// Sorted candidate set of `pairs`, for comparing operators whose output
+// orders differ by construction.
+std::vector<CandidatePair> Sorted(std::vector<CandidatePair> pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+TEST_P(SkewPartitionerEquivalence, ThreadInvariantAndMatchesMapSide) {
   static SkewFixture* fixture = new SkewFixture();
-  ApplyResult fnv =
-      fixture->Run(GetParam(), ShufflePartitioner::kStableHash, 1);
-  ASSERT_FALSE(fnv.pairs.empty());
-  for (int threads : {1, 4}) {
-    ApplyResult skew =
-        fixture->Run(GetParam(), ShufflePartitioner::kSkewAware, threads);
-    EXPECT_EQ(fnv.pairs, skew.pairs) << "threads=" << threads;
-    EXPECT_EQ(fnv.candidates_examined, skew.candidates_examined)
-        << "threads=" << threads;
-  }
-  // FNV path at 4 threads too: partitioner x threads is a full matrix.
-  ApplyResult fnv4 =
-      fixture->Run(GetParam(), ShufflePartitioner::kStableHash, 4);
-  EXPECT_EQ(fnv.pairs, fnv4.pairs);
+  static const std::vector<CandidatePair>* map_side =
+      new std::vector<CandidatePair>(
+          Sorted(fixture->Run(ApplyMethod::kMapSide, 1).pairs));
+  ApplyResult serial = fixture->Run(GetParam(), 1);
+  ASSERT_FALSE(serial.pairs.empty());
+  // Byte identity, order included, across thread counts.
+  ApplyResult threaded = fixture->Run(GetParam(), 4);
+  EXPECT_EQ(serial.pairs, threaded.pairs);
+  EXPECT_EQ(serial.candidates_examined, threaded.candidates_examined);
+  // The same candidate set as enumerating A x B in the mappers.
+  EXPECT_EQ(Sorted(serial.pairs), *map_side);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -249,8 +287,7 @@ TEST(SkewPartitionerTest, HotBlocksActuallySplitOnZipfData) {
   SkewFixture fixture;
   // The build-time profile must flag the Zipf skew the generator injected.
   EXPECT_GE(fixture.catalog.MergedBlockProfile().skew, 2.0);
-  ApplyResult skew = fixture.Run(ApplyMethod::kApplyAll,
-                                 ShufflePartitioner::kSkewAware, 1);
+  ApplyResult skew = fixture.Run(ApplyMethod::kApplyAll, 1);
   auto it = skew.main_job.counters.find("skew/split_blocks");
   ASSERT_NE(it, skew.main_job.counters.end());
   EXPECT_GT(it->second, 0) << "no block exceeded the pair budget; the "
@@ -269,17 +306,16 @@ TEST(SkewPartitionerTest, IndexProfileReportsPostingDistribution) {
 
 // --- pipeline-level determinism -------------------------------------------------
 
-// Both plan templates must emit identical candidates and matches under
-// either partitioner. Two legitimate (pre-existing, partitioner-independent)
+// Both plan templates must emit identical candidates and matches at 1 and 4
+// local threads. Two legitimate (pre-existing, thread-count-independent)
 // sources of run-to-run divergence are switched off so the comparison
-// isolates the shuffle: deterministic_rule_cost replaces MEASURED per-rule
+// isolates the engine: deterministic_rule_cost replaces MEASURED per-rule
 // times in rule ranking/sequence scoring with a predicate-count proxy
 // (real-clock noise flips near-tied rules), and enable_masking = false
 // removes Algorithm-2 speculative reuse, whose job-completes-inside-window
 // test is inherently timing-dependent. Everything else is covered by the
 // determinism contract.
-MatchResult RunPlan(bool force_blocking, ShufflePartitioner part,
-                    int threads) {
+MatchResult RunPlan(bool force_blocking, int threads) {
   WorkloadOptions opt;
   // Matcher-only enumerates A x B, so that template runs on a smaller task.
   opt.size_a = force_blocking ? 150 : 60;
@@ -289,7 +325,6 @@ MatchResult RunPlan(bool force_blocking, ShufflePartitioner part,
   GeneratedDataset data = GenerateProducts(opt);
 
   ClusterConfig ccfg = FastCluster();
-  ccfg.partitioner = part;
   ccfg.local_threads = threads;
   Cluster cluster(ccfg);
 
@@ -319,27 +354,21 @@ MatchResult RunPlan(bool force_blocking, ShufflePartitioner part,
 }
 
 TEST(SkewPartitionerPipelineTest, BlockerPlanByteIdentical) {
-  MatchResult fnv = RunPlan(true, ShufflePartitioner::kStableHash, 1);
-  for (int threads : {1, 4}) {
-    MatchResult skew =
-        RunPlan(true, ShufflePartitioner::kSkewAware, threads);
-    EXPECT_EQ(fnv.candidates, skew.candidates) << "threads=" << threads;
-    EXPECT_EQ(fnv.matches, skew.matches) << "threads=" << threads;
-  }
+  MatchResult serial = RunPlan(true, 1);
+  MatchResult threaded = RunPlan(true, 4);
+  EXPECT_EQ(serial.candidates, threaded.candidates);
+  EXPECT_EQ(serial.matches, threaded.matches);
 }
 
 TEST(SkewPartitionerPipelineTest, MatcherOnlyPlanByteIdentical) {
-  MatchResult fnv = RunPlan(false, ShufflePartitioner::kStableHash, 1);
-  for (int threads : {1, 4}) {
-    MatchResult skew =
-        RunPlan(false, ShufflePartitioner::kSkewAware, threads);
-    EXPECT_EQ(fnv.candidates, skew.candidates) << "threads=" << threads;
-    EXPECT_EQ(fnv.matches, skew.matches) << "threads=" << threads;
-  }
+  MatchResult serial = RunPlan(false, 1);
+  MatchResult threaded = RunPlan(false, 4);
+  EXPECT_EQ(serial.candidates, threaded.candidates);
+  EXPECT_EQ(serial.matches, threaded.matches);
 }
 
 TEST(TaskLoadStatsTest, PipelineRollupIsPopulated) {
-  MatchResult res = RunPlan(true, ShufflePartitioner::kSkewAware, 1);
+  MatchResult res = RunPlan(true, 1);
   const RunMetrics& m = res.metrics;
   EXPECT_GT(m.mr_tasks, 0u);
   EXPECT_GE(m.task_vtime_max, m.task_vtime_mean);
